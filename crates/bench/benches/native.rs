@@ -93,8 +93,8 @@ impl Kernel {
         match self {
             Kernel::Seed => "seed",
             // The dispatch's own label ("scalar", "avx2+fma", "avx512",
-            // "hybrid8x8", "avx2+reuse", "avx512+reuse") — the same
-            // string the tune cache and HSTENCIL_DISPATCH use.
+            // "hybrid8x8", "tempvec") — the same string the tune cache
+            // and HSTENCIL_DISPATCH use.
             Kernel::Forced(d) => d.label(),
             Kernel::Best => Dispatch::detect().label(),
         }
@@ -593,48 +593,6 @@ fn main() {
             n,
         );
     }
-    // Shifted-register reuse vs shifted-load (ISSUE 9, DESIGN.md §14):
-    // the same row-pair schedule with horizontal tap operands
-    // synthesized in-register, so each aligned input vector is loaded
-    // once per row. The family also counts the hybrid 8×8 kernel (its
-    // inner-tap MLA now rides the same synthesis). The in-cache 256²
-    // f64 point is the `--gate-reuse` acceptance ratio; AVX-512 reuse
-    // rows record only on avx512f hosts (skip printed elsewhere).
-    if Dispatch::avx2_available() {
-        let mut reuse_kernels = vec![
-            Kernel::Forced(Dispatch::detect()),
-            Kernel::Forced(Dispatch::Hybrid),
-            Kernel::Forced(Dispatch::Avx2Reuse),
-        ];
-        if Dispatch::avx512_available() {
-            reuse_kernels.push(Kernel::Forced(Dispatch::Avx512Reuse));
-        } else {
-            println!("native2d_reuse avx512+reuse rows skipped: host lacks avx512f");
-        }
-        for size in [256usize, 4096] {
-            let (warm, n) = if size <= 256 {
-                (warm_in, n_in)
-            } else {
-                (warm_out, n_out)
-            };
-            for &kernel in &reuse_kernels {
-                bench_2d_e::<f64>(
-                    &h,
-                    "native2d_reuse",
-                    &mut rows,
-                    &pool,
-                    &star,
-                    size,
-                    1,
-                    kernel,
-                    warm,
-                    n,
-                );
-            }
-        }
-    } else {
-        println!("native2d_reuse group skipped: host lacks AVX2");
-    }
     // AVX-512 vs AVX2 at both element widths. Recorded only where the
     // host has avx512f — the group is absent (with a notice) elsewhere,
     // and gates over it skip rather than fail.
@@ -855,35 +813,6 @@ fn main() {
             println!("speedup star2d5p/{size}/t1 f32 vs f64: {s:.2}x");
         }
     }
-    // Reuse-family vs shifted-load-family ratio: best kernel whose
-    // operands are synthesized in-register ("*reuse*" labels plus the
-    // hybrid 8×8, whose inner MLA now shares the synthesis) against
-    // the best per-tap-load kernel, f64 star2d5p t1. The in-cache
-    // point is the `--gate-reuse` acceptance ratio in verify.sh.
-    let family_min = |size: usize, reuse_family: bool| {
-        rows.iter()
-            .filter(|r| {
-                r.stencil == "star2d5p"
-                    && r.size == size
-                    && r.sweeps == 1
-                    && r.threads == 1
-                    && r.dtype == "f64"
-                    && r.kernel != "seed"
-                    && (r.kernel.contains("reuse") || r.kernel == "hybrid8x8") == reuse_family
-            })
-            .map(|r| r.summary.median)
-            .min_by(f64::total_cmp)
-    };
-    let reuse_speedup = |size: usize| match (family_min(size, false), family_min(size, true)) {
-        (Some(plain), Some(reused)) if reused > 0.0 => Some(plain / reused),
-        _ => None,
-    };
-    let (reuse_256, reuse_4096) = (reuse_speedup(256), reuse_speedup(4096));
-    for (size, s) in [(256, reuse_256), (4096, reuse_4096)] {
-        if let Some(s) = s {
-            println!("speedup star2d5p/{size}/t1 reuse family vs shifted-load: {s:.2}x");
-        }
-    }
     // avx512-vs-avx2 ratio per (size, dtype), where recorded.
     let avx512_speedup = |size: usize, dtype: &str| match (
         min_median_of(&rows, "star2d5p", size, 1, 1, best, dtype),
@@ -941,8 +870,6 @@ fn main() {
         ("speedup_f32_star2d5p_4096_t1", f32_4096.to_json()),
         ("speedup_avx512_star2d5p_256_t1", avx512_256.to_json()),
         ("speedup_avx512_star2d5p_4096_t1", avx512_4096.to_json()),
-        ("speedup_reuse_star2d5p_256_t1", reuse_256.to_json()),
-        ("speedup_reuse_star2d5p_4096_t1", reuse_4096.to_json()),
     ]);
 
     // The trajectory file lives at the repo root, independent of the

@@ -33,16 +33,6 @@
 //! silently passed and never failed. The pre-dtype gates above always
 //! compare f64 rows only (rows without a `dtype` field are f64).
 //!
-//! `--gate-reuse=SIZE:MINRATIO` gates the shifted-register tap-reuse
-//! family (DESIGN.md §14): the best single-sweep single-thread f64
-//! star2d5p median among the per-tap-load kernels at `SIZE`, divided
-//! by the best among the reuse family — kernels whose label contains
-//! `reuse`, plus `hybrid8x8` (its inner MLA shares the synthesis) —
-//! must reach `MINRATIO` (the acceptance gate is `256:1.05`, in-cache
-//! where saved load slots matter most). Like the f32 gate, an
-//! artifact with no reuse-family rows at `SIZE` skips with a notice
-//! naming the absent `native2d_reuse` group.
-//!
 //! `--gate-tempvec=SIZE:SWEEPS:MINRATIO` gates the temporally
 //! vectorized wavefront family (DESIGN.md §15): the single-thread f64
 //! star2d5p `temporal` median at `SIZE`/`SWEEPS` divided by the
@@ -117,64 +107,6 @@ fn eval_f32_gate(rows: &[(f64, String, f64)], size: f64, min_ratio: f64) -> F32G
         ))
     } else {
         F32Gate::Ok(ratio)
-    }
-}
-
-/// Outcome of one `--gate-reuse` evaluation, factored pure like
-/// [`eval_f32_gate`] so the absent-group skip contract is unit-testable.
-#[derive(Debug, PartialEq)]
-enum ReuseGate {
-    /// Ratio met the bound.
-    Ok(f64),
-    /// The artifact has no reuse-family rows at this size — skip.
-    Skipped(String),
-    /// Rows present, ratio below the bound (or no denominator).
-    Fail(String),
-}
-
-/// True for kernels whose horizontal tap operands are synthesized
-/// in-register: the `*reuse*` labels plus the hybrid 8×8 kernel, whose
-/// inner-tap MLA rides the same shift synthesis.
-fn is_reuse_family(kernel: &str) -> bool {
-    kernel.contains("reuse") || kernel == "hybrid8x8"
-}
-
-/// Evaluates one reuse gate over `(size, kernel, median_s)` tuples of
-/// the single-sweep single-thread f64 star2d5p rows: best per-tap-load
-/// median / best reuse-family median must reach `min_ratio`.
-fn eval_reuse_gate(rows: &[(f64, String, f64)], size: f64, min_ratio: f64) -> ReuseGate {
-    let best = |reuse: bool| {
-        rows.iter()
-            .filter(|(s, k, _)| *s == size && k != "seed" && is_reuse_family(k) == reuse)
-            .map(|(_, _, m)| *m)
-            .min_by(f64::total_cmp)
-    };
-    let reused = match best(true) {
-        Some(m) if m > 0.0 => m,
-        _ => {
-            return ReuseGate::Skipped(format!(
-                "reuse gate {size}^2 SKIPPED (no reuse-family rows at this size — the \
-                 artifact predates the native2d_reuse bench group or the recording \
-                 tier skipped it)"
-            ))
-        }
-    };
-    let plain = match best(false) {
-        Some(m) if m > 0.0 => m,
-        _ => {
-            return ReuseGate::Fail(format!(
-                "reuse-family rows exist at {size}^2 but no per-tap-load denominator row does"
-            ))
-        }
-    };
-    let ratio = plain / reused;
-    if ratio < min_ratio {
-        ReuseGate::Fail(format!(
-            "reuse speedup at {size}^2 is {ratio:.3}x (shifted-load {plain:.4}s / \
-             reuse {reused:.4}s), below the {min_ratio} gate"
-        ))
-    } else {
-        ReuseGate::Ok(ratio)
     }
 }
 
@@ -370,7 +302,6 @@ fn main() {
     let mut hybrid_gates: Vec<(f64, f64)> = Vec::new();
     let mut thread_gates: Vec<(f64, f64, f64)> = Vec::new();
     let mut f32_gates: Vec<(f64, f64)> = Vec::new();
-    let mut reuse_gates: Vec<(f64, f64)> = Vec::new();
     let mut tempvec_gates: Vec<(f64, f64, f64)> = Vec::new();
     let mut latency_gates: Vec<f64> = Vec::new();
     let parse_gate = |flag: &str, spec: &str| -> (f64, f64) {
@@ -402,8 +333,6 @@ fn main() {
             thread_gates.push(parse_thread_gate(spec));
         } else if let Some(spec) = arg.strip_prefix("--gate-f32=") {
             f32_gates.push(parse_gate("--gate-f32", spec));
-        } else if let Some(spec) = arg.strip_prefix("--gate-reuse=") {
-            reuse_gates.push(parse_gate("--gate-reuse", spec));
         } else if let Some(spec) = arg.strip_prefix("--gate-tempvec=") {
             match parse_tempvec_gate(spec) {
                 Ok(gate) => tempvec_gates.push(gate),
@@ -447,7 +376,6 @@ fn main() {
                 && hybrid_gates.is_empty()
                 && thread_gates.is_empty()
                 && f32_gates.is_empty()
-                && reuse_gates.is_empty()
                 && tempvec_gates.is_empty())
             {
                 fail(
@@ -673,15 +601,6 @@ fn main() {
             F32Gate::Fail(msg) => fail(1, format!("{path}: {msg}")),
         }
     }
-    for (size, min_ratio) in &reuse_gates {
-        match eval_reuse_gate(&single, *size, *min_ratio) {
-            ReuseGate::Ok(ratio) => {
-                println!("check_bench_json: reuse gate {size}^2 ok ({ratio:.2}x >= {min_ratio})")
-            }
-            ReuseGate::Skipped(notice) => println!("check_bench_json: {notice}"),
-            ReuseGate::Fail(msg) => fail(1, format!("{path}: {msg}")),
-        }
-    }
     for (size, sweeps, min_ratio) in &tempvec_gates {
         match eval_tempvec_gate(&tempsweep, *size, *sweeps, *min_ratio) {
             TempVecGate::Ok(ratio) => println!(
@@ -701,8 +620,8 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::{
-        eval_f32_gate, eval_latency_gate, eval_reuse_gate, eval_tempvec_gate, is_reuse_family,
-        parse_tempvec_gate, F32Gate, LatencyGate, ReuseGate, TempVecGate,
+        eval_f32_gate, eval_latency_gate, eval_tempvec_gate, parse_tempvec_gate, F32Gate,
+        LatencyGate, TempVecGate,
     };
 
     fn row(size: f64, dtype: &str, median: f64) -> (f64, String, f64) {
@@ -797,77 +716,6 @@ mod tests {
     fn missing_f64_denominator_is_a_hard_failure_not_a_skip() {
         let rows = [row(256.0, "f32", 1.0e-4)];
         assert!(matches!(eval_f32_gate(&rows, 256.0, 1.3), F32Gate::Fail(_)));
-    }
-
-    #[test]
-    fn reuse_family_covers_every_synthesized_operand_kernel() {
-        for k in ["avx2+reuse", "avx512+reuse", "hybrid8x8"] {
-            assert!(is_reuse_family(k), "{k} belongs to the reuse family");
-        }
-        for k in ["scalar", "avx2+fma", "avx512", "seed"] {
-            assert!(!is_reuse_family(k), "{k} loads every tap from memory");
-        }
-    }
-
-    #[test]
-    fn absent_reuse_rows_skip_with_notice_instead_of_passing_silently() {
-        let rows = [row(256.0, "avx2+fma", 1.0e-4), row(256.0, "scalar", 5.0e-4)];
-        match eval_reuse_gate(&rows, 256.0, 1.05) {
-            ReuseGate::Skipped(notice) => {
-                assert!(notice.contains("SKIPPED"), "notice: {notice}");
-                assert!(notice.contains("native2d_reuse"), "notice: {notice}");
-                assert!(notice.contains("256"), "notice names the size: {notice}");
-            }
-            other => panic!("expected Skipped, got {other:?}"),
-        }
-        // Reuse rows at a *different* size do not satisfy this size.
-        let rows = [
-            row(256.0, "avx2+fma", 1.0e-4),
-            row(4096.0, "avx2+reuse", 1.0e-4),
-        ];
-        assert!(matches!(
-            eval_reuse_gate(&rows, 256.0, 1.05),
-            ReuseGate::Skipped(_)
-        ));
-    }
-
-    #[test]
-    fn reuse_ratio_compares_best_against_best_within_the_size() {
-        let rows = [
-            row(256.0, "avx2+fma", 2.0e-4),
-            row(256.0, "scalar", 9.0e-4),
-            row(256.0, "avx2+reuse", 1.8e-4),
-            row(256.0, "hybrid8x8", 1.0e-4), // best reuse-family
-            row(256.0, "seed", 0.5e-4),      // excluded from both sides
-        ];
-        match eval_reuse_gate(&rows, 256.0, 1.05) {
-            ReuseGate::Ok(ratio) => assert!((ratio - 2.0).abs() < 1e-12, "ratio: {ratio}"),
-            other => panic!("expected Ok, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn reuse_ratio_below_the_bound_fails_with_both_medians_in_the_message() {
-        let rows = [
-            row(256.0, "avx2+fma", 1.0e-4),
-            row(256.0, "avx2+reuse", 1.0e-4),
-        ];
-        match eval_reuse_gate(&rows, 256.0, 1.05) {
-            ReuseGate::Fail(msg) => {
-                assert!(msg.contains("1.000x"), "msg: {msg}");
-                assert!(msg.contains("below the 1.05 gate"), "msg: {msg}");
-            }
-            other => panic!("expected Fail, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn missing_shifted_load_denominator_is_a_hard_failure_not_a_skip() {
-        let rows = [row(256.0, "avx2+reuse", 1.0e-4)];
-        assert!(matches!(
-            eval_reuse_gate(&rows, 256.0, 1.05),
-            ReuseGate::Fail(_)
-        ));
     }
 
     #[test]

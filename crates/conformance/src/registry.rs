@@ -131,9 +131,7 @@ impl Variant {
     }
 
     /// A pool-parallel f32 run of one *specific* dispatch path — the
-    /// f32 twin of [`Variant::native_parallel_with`]. The
-    /// `native/f32/reuse2` row pins the shifted-register reuse kernels
-    /// under the band decomposition at the narrow element width.
+    /// f32 twin of [`Variant::native_parallel_with`].
     pub fn native_f32_parallel_with(name: String, dispatch: Dispatch, threads: usize) -> Variant {
         Variant {
             name,
@@ -358,15 +356,6 @@ pub fn registry() -> Vec<Variant> {
     ];
     if Dispatch::avx2_available() {
         v.push(Variant::native(Dispatch::Avx2Fma));
-        // The shifted-register reuse kernels under the pool at 2 lanes
-        // (ISSUE 9): band splits land mid-row, so the synthesized
-        // operands face every split the plain kernels do. Bit-identical
-        // to the shifted-load rows by the DESIGN.md §14 contract.
-        v.push(Variant::native_parallel_with(
-            "native/reuse2".into(),
-            Dispatch::Avx2Reuse,
-            2,
-        ));
     }
     // The f32 instantiation of the TileKernel trait (DESIGN.md §12),
     // at the host's best canonical-chain dispatch. Judged at f32 ULP
@@ -377,15 +366,6 @@ pub fn registry() -> Vec<Variant> {
     // coverage only until ISSUE 8.
     v.push(Variant::native_f32_parallel(2));
     v.push(Variant::native_f32_temporal(3));
-    if Dispatch::avx2_available() {
-        // The f32 reuse kernels (8-lane `alignr`-synthesized operands)
-        // under the same 2-lane band split.
-        v.push(Variant::native_f32_parallel_with(
-            "native/f32/reuse2".into(),
-            Dispatch::Avx2Reuse,
-            2,
-        ));
-    }
     // The temporally-vectorized family (DESIGN.md §15), f64 and f32.
     // Registered unconditionally: its scalar row body is part of the
     // family's bit-identity contract, so off x86 the rows still run.
@@ -401,9 +381,6 @@ pub fn registry() -> Vec<Variant> {
     if Dispatch::avx512_available() {
         v.push(Variant::native(Dispatch::Avx512));
         v.push(Variant::native_f32(Dispatch::Avx512));
-        // The valignq/valignd reuse instances, f64 and f32.
-        v.push(Variant::native(Dispatch::Avx512Reuse));
-        v.push(Variant::native_f32(Dispatch::Avx512Reuse));
         // The tempvec family pinned to its valignq/valignd bodies
         // (otherwise only the widest body the dispatcher picks runs).
         v.push(Variant::native_tempvec_capped(TvIsa::Avx512));
@@ -426,16 +403,11 @@ pub fn skip_notices() -> Vec<String> {
 pub fn skip_notices_for(avx2: bool, avx512: bool) -> Vec<String> {
     let mut out = Vec::new();
     if !avx2 {
-        out.push(
-            "conformance: skipping native/avx2+fma, native/reuse2 and native/f32/reuse2: \
-             host lacks AVX2"
-                .to_string(),
-        );
+        out.push("conformance: skipping native/avx2+fma: host lacks AVX2".to_string());
     }
     if !avx512 {
         out.push(
-            "conformance: skipping native/avx512, native/f32/avx512, native/avx512+reuse \
-             and native/f32/avx512+reuse: host lacks avx512f"
+            "conformance: skipping native/avx512 and native/f32/avx512: host lacks avx512f"
                 .to_string(),
         );
         out.push(
@@ -491,19 +463,12 @@ mod tests {
                 "f32 temporal/parallel variant {needed} missing from the matrix: {names:?}"
             );
         }
-        if Dispatch::avx2_available() {
-            for needed in ["native/reuse2", "native/f32/reuse2"] {
-                assert!(
-                    names.iter().any(|n| n == needed),
-                    "reuse variant {needed} missing despite host support: {names:?}"
-                );
-            }
-        } else {
-            assert!(
-                !names.iter().any(|n| n.contains("reuse")),
-                "reuse variants must not register without AVX2: {names:?}"
-            );
-        }
+        // The standalone reuse kernels are retired; nothing registers
+        // under their names.
+        assert!(
+            !names.iter().any(|n| n.contains("reuse")),
+            "retired reuse variants registered: {names:?}"
+        );
         // The tempvec family rows are unconditional (scalar fallback).
         for needed in ["native/tempvec", "native/f32/tempvec"] {
             assert!(
@@ -515,8 +480,6 @@ mod tests {
             for needed in [
                 "native/avx512",
                 "native/f32/avx512",
-                "native/avx512+reuse",
-                "native/f32/avx512+reuse",
                 "native/tempvec+avx512",
                 "native/f32/tempvec+avx512",
             ] {

@@ -62,11 +62,6 @@ fn off_by_one_in_any_variant_is_caught_with_a_replayable_counterexample() {
     }
 }
 
-/// The trait-instance restatement of the proof above, pinned to the
-/// AVX-512 `TileKernel` instance specifically: an off-by-one in its tap
-/// window must fall out of the shrinking harness as a minimal,
-/// replayable counterexample. Skips with a notice on hosts without
-/// avx512f (where the instance cannot execute at all).
 #[test]
 fn off_by_one_in_the_f32_temporal_variant_shrinks_to_a_minimal_counterexample() {
     // ISSUE 8 satellite: the trapezoid pipeline at f32 must be just as
@@ -96,49 +91,6 @@ fn off_by_one_in_the_f32_temporal_variant_shrinks_to_a_minimal_counterexample() 
         "replay: TESTKIT_SEED=0x",
         "Instance",
         "native/f32/temporal3+off-by-one",
-    ] {
-        assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
-    }
-}
-
-/// ISSUE 9 satellite: an off-by-one flowing through the
-/// shifted-register reuse path must shrink exactly like one in a
-/// plain load path. The planted one-column shift changes what every
-/// synthesized operand holds — the `permute2f128`/`shuffle` bridge
-/// reproduces whatever the (wrong) loads carried — so the
-/// differential matrix has to fire and hand back a minimal,
-/// replayable counterexample naming the reuse variant.
-#[test]
-fn off_by_one_in_the_reuse_instance_shrinks_to_a_minimal_counterexample() {
-    if !Dispatch::avx2_available() {
-        println!(
-            "reuse fault-injection proof SKIPPED: host lacks AVX2, \
-             the shift-synthesis path cannot execute here"
-        );
-        return;
-    }
-    let faulty = Variant::native(Dispatch::Avx2Reuse).with_off_by_one();
-    let cfg = Config {
-        cases: 4,
-        seed: 0x0FF5_E209,
-        max_shrink_steps: 64,
-    };
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        prop::check(
-            &cfg,
-            &InstanceStrategy::star(),
-            |inst| match check_differential(&faulty, inst)? {
-                Outcome::Checked => Ok(()),
-                Outcome::Skipped => Err("native/avx2+reuse skipped a star instance".into()),
-            },
-        );
-    }));
-    let text = panic_text(outcome.expect_err("the off-by-one reuse instance went undetected"));
-    for needle in [
-        "minimal failing input",
-        "replay: TESTKIT_SEED=0x",
-        "Instance",
-        "native/avx2+reuse+off-by-one",
     ] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }
@@ -181,6 +133,11 @@ fn off_by_one_in_the_tempvec_family_shrinks_to_a_minimal_counterexample() {
     }
 }
 
+/// The first proof restated for the AVX-512 `TileKernel` instance
+/// specifically: an off-by-one in its tap
+/// window must fall out of the shrinking harness as a minimal,
+/// replayable counterexample. Skips with a notice on hosts without
+/// avx512f (where the instance cannot execute at all).
 #[test]
 fn off_by_one_in_the_avx512_instance_shrinks_to_a_minimal_counterexample() {
     if !Dispatch::avx512_available() {

@@ -587,9 +587,30 @@ pub(crate) mod stage {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::super::prefetch::Prefetch;
-    use super::super::reuse::avx2 as reuse;
     use super::{scalar_point_hybrid, TapsHybrid, MAX_VECTOR_RADIUS};
     use std::arch::x86_64::*;
+
+    /// Shift-by-`k` synthesis over the adjacent vectors `c0` (columns
+    /// `j .. j+4`) and `c1` (columns `j+4 .. j+8`): returns columns
+    /// `j+k .. j+k+4`. `t` is the cross-lane bridge
+    /// `_mm256_permute2f128_pd::<0x21>(c0, c1) = [c0[2], c0[3], c1[0],
+    /// c1[1]]`; the odd shifts blend it with `c0`/`c1` via
+    /// `_mm256_shuffle_pd` (dst lane pattern `a1 b0 a3 b2` at mask
+    /// `0b0101`).
+    ///
+    /// # Safety
+    /// AVX2 must be available.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn shift_f64(c0: __m256d, t: __m256d, c1: __m256d, k: usize) -> __m256d {
+        match k {
+            0 => c0,
+            1 => _mm256_shuffle_pd::<0b0101>(c0, t),
+            2 => t,
+            3 => _mm256_shuffle_pd::<0b0101>(t, c1),
+            _ => c1,
+        }
+    }
 
     /// In-flight non-temporal drain of one staged 8-row group. The
     /// compute loop calls [`Drain::step`] once per 8-column step, so
@@ -769,8 +790,8 @@ mod avx2 {
         // arrays, regrouped by input row `di` (contiguous runs, since
         // `taps.inner` is `(di, dj)`-ascending); 72 slots covers the
         // densest vectorized stencil (radius-4 box). Rows with three or
-        // more horizontal taps apply the shifted-register reuse scheme
-        // (`super::super::reuse`): the row's two center vectors load
+        // more horizontal taps apply the shifted-register scheme
+        // ([`shift_f64`]): the row's two center vectors load
         // once and interior shifts synthesize in-register; edge
         // operands stay the exact loads the shifted-load body issued.
         // Shorter rows keep plain per-tap loads — at one or two taps
@@ -851,12 +872,12 @@ mod avx2 {
                                         let v0 = if dj < 0 {
                                             _mm256_loadu_pd(rp.offset(dj))
                                         } else {
-                                            reuse::shift_f64(c0v, t, c1v, dj as usize)
+                                            shift_f64(c0v, t, c1v, dj as usize)
                                         };
                                         let v1 = if dj > 0 {
                                             _mm256_loadu_pd(rp.offset(4 + dj))
                                         } else {
-                                            reuse::shift_f64(c0v, t, c1v, (4 + dj) as usize)
+                                            shift_f64(c0v, t, c1v, (4 + dj) as usize)
                                         };
                                         p0 = _mm256_fmadd_pd(inn_cv[ti], v0, p0);
                                         p1 = _mm256_fmadd_pd(inn_cv[ti], v1, p1);

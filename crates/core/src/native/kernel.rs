@@ -12,8 +12,6 @@
 //! | [`Avx2Tile`]  | 2×8 cols, 4-lane ymm | 2×16 cols, 8-lane ymm |
 //! | [`Avx512Tile`]| 2×16 cols, 8-lane zmm| 2×32 cols, 16-lane zmm|
 //! | [`HybridTile`]| 8×8 Algorithm-2 tile | scalar chain + staged NT |
-//! | [`Avx2ReuseTile`]  | [`Avx2Tile`] shape, shifted-register operands | same at 8 lanes |
-//! | [`Avx512ReuseTile`]| [`Avx512Tile`] shape, `valignq`/`valignd` operands | same at 16 lanes |
 //!
 //! # The bit-identity contract
 //!
@@ -32,8 +30,8 @@
 //!
 //! Stable Rust has no specialization, so one generic impl per backend
 //! could not give `f64` and `f32` different intrinsic bodies.
-//! [`NativeElement`] names the six backend instances per element type
-//! (`KScalar`/`KAvx2`/`KAvx512`/`KHybrid`/`KAvx2Reuse`/`KAvx512Reuse`);
+//! [`NativeElement`] names the four backend instances per element type
+//! (`KScalar`/`KAvx2`/`KAvx512`/`KHybrid`);
 //! generic drivers pick an instance through those associated types and
 //! monomorphize to exactly the hand-written code that existed before
 //! the refactor.
@@ -41,8 +39,6 @@
 use super::kernel2d;
 use super::kernel3d;
 use super::prefetch::Prefetch;
-#[cfg(target_arch = "x86_64")]
-use super::reuse;
 use super::{hybrid, tile, Dispatch};
 use crate::element::Element;
 
@@ -65,9 +61,6 @@ pub struct Config {
     pub tile_n: usize,
     /// Accumulator registers per output row in the main loop.
     pub unroll: usize,
-    /// True when the instance synthesizes shifted operands in-register
-    /// (the `reuse` EXT idiom) instead of loading per tap.
-    pub reuse: bool,
 }
 
 /// One register-tile kernel backend for element type `E`.
@@ -208,7 +201,7 @@ pub trait TileKernel<E: Element> {
 }
 
 /// An element type the native executor can drive end-to-end: names the
-/// six backend instances (working around the absence of
+/// four backend instances (working around the absence of
 /// specialization) and provides the non-temporal store primitive the
 /// generic staged-NT drain is built on.
 pub trait NativeElement: Element {
@@ -220,12 +213,6 @@ pub trait NativeElement: Element {
     type KAvx512: TileKernel<Self>;
     /// The hybrid 8-row Algorithm-2 instance.
     type KHybrid: TileKernel<Self>;
-    /// The AVX2 shifted-register reuse instance (scalar-delegating off
-    /// x86-64).
-    type KAvx2Reuse: TileKernel<Self>;
-    /// The AVX-512 `valign` reuse instance (scalar-delegating off
-    /// x86-64).
-    type KAvx512Reuse: TileKernel<Self>;
 
     /// Streams `n` elements from `src` to 32-byte-aligned `dst` with
     /// non-temporal stores (`n * size_of::<Self>()` must be a multiple
@@ -271,8 +258,6 @@ impl NativeElement for f64 {
     type KAvx2 = Avx2Tile;
     type KAvx512 = Avx512Tile;
     type KHybrid = HybridTile;
-    type KAvx2Reuse = Avx2ReuseTile;
-    type KAvx512Reuse = Avx512ReuseTile;
 
     #[cfg(target_arch = "x86_64")]
     unsafe fn stream_chunk(dst: *mut Self, src: *const Self, n: usize) {
@@ -303,8 +288,6 @@ impl NativeElement for f32 {
     type KAvx2 = Avx2Tile;
     type KAvx512 = Avx512Tile;
     type KHybrid = HybridTile;
-    type KAvx2Reuse = Avx2ReuseTile;
-    type KAvx512Reuse = Avx512ReuseTile;
 
     #[cfg(target_arch = "x86_64")]
     unsafe fn stream_chunk(dst: *mut Self, src: *const Self, n: usize) {
@@ -378,19 +361,6 @@ pub struct Avx512Tile;
 #[derive(Clone, Copy, Debug)]
 pub struct HybridTile;
 
-/// The AVX2 shifted-register reuse instance: the [`Avx2Tile`] row-pair
-/// schedule with horizontal tap operands synthesized in-register
-/// (`reuse`) instead of loaded per tap. Bit-identical to
-/// [`Avx2Tile`]; stencils wider than the shift range delegate to it
-/// wholesale.
-#[derive(Clone, Copy, Debug)]
-pub struct Avx2ReuseTile;
-
-/// The AVX-512 reuse instance: [`Avx512Tile`]'s schedule with
-/// `valignq`/`valignd` operand synthesis (the paper's EXT idiom 1:1).
-#[derive(Clone, Copy, Debug)]
-pub struct Avx512ReuseTile;
-
 impl<E: Element> TileKernel<E> for ScalarTile {
     type Acc = E;
     const NAME: &'static str = "scalar";
@@ -400,7 +370,6 @@ impl<E: Element> TileKernel<E> for ScalarTile {
             tile_m: 1,
             tile_n: 1,
             unroll: 1,
-            reuse: false,
         }
     }
 
@@ -434,7 +403,6 @@ impl TileKernel<f64> for Avx2Tile {
             tile_m: 2,
             tile_n: 4,
             unroll: 2,
-            reuse: false,
         }
     }
 
@@ -483,7 +451,6 @@ impl TileKernel<f32> for Avx2Tile {
             tile_m: 2,
             tile_n: 8,
             unroll: 2,
-            reuse: false,
         }
     }
 
@@ -520,7 +487,6 @@ impl TileKernel<f64> for Avx512Tile {
             tile_m: 2,
             tile_n: 8,
             unroll: 2,
-            reuse: false,
         }
     }
 
@@ -557,7 +523,6 @@ impl TileKernel<f32> for Avx512Tile {
             tile_m: 2,
             tile_n: 16,
             unroll: 2,
-            reuse: false,
         }
     }
 
@@ -577,168 +542,6 @@ impl TileKernel<f32> for Avx512Tile {
         match dst1 {
             Some(d1) => kernel2d::avx512::row_pair_f32(taps, a, base, stride, dst0, d1, pf),
             None => kernel2d::avx512::row_single_f32(taps, a, base, stride, dst0, pf),
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-impl TileKernel<f64> for Avx2ReuseTile {
-    type Acc = std::arch::x86_64::__m256d;
-    const NAME: &'static str = "avx2+reuse";
-
-    fn config() -> Config {
-        Config {
-            tile_m: 2,
-            tile_n: 4,
-            unroll: 2,
-            reuse: true,
-        }
-    }
-
-    fn available() -> bool {
-        Dispatch::avx2_available()
-    }
-
-    unsafe fn execute(
-        taps: &Taps2<f64>,
-        a: &[f64],
-        base: isize,
-        stride: isize,
-        dst0: &mut [f64],
-        dst1: Option<&mut [f64]>,
-        pf: Prefetch,
-    ) {
-        if taps.r > reuse::max_radius_avx2::<f64>() {
-            return <Avx2Tile as TileKernel<f64>>::execute(taps, a, base, stride, dst0, dst1, pf);
-        }
-        match dst1 {
-            Some(d1) => reuse::avx2::row_pair(taps, a, base, stride, dst0, d1, pf),
-            None => reuse::avx2::row_single(taps, a, base, stride, dst0, pf),
-        }
-    }
-
-    unsafe fn execute3(
-        taps: &Taps3<f64>,
-        a: &[f64],
-        base: isize,
-        plane_stride: isize,
-        stride: isize,
-        dst0: &mut [f64],
-        dst1: Option<&mut [f64]>,
-    ) {
-        // 3-D sweeps reach reuse dispatches only through narrow_3d's
-        // mapping; share Avx2Tile's body so the chain stays canonical.
-        <Avx2Tile as TileKernel<f64>>::execute3(taps, a, base, plane_stride, stride, dst0, dst1);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-impl TileKernel<f32> for Avx2ReuseTile {
-    type Acc = std::arch::x86_64::__m256;
-    const NAME: &'static str = "avx2+reuse";
-
-    fn config() -> Config {
-        Config {
-            tile_m: 2,
-            tile_n: 8,
-            unroll: 2,
-            reuse: true,
-        }
-    }
-
-    fn available() -> bool {
-        Dispatch::avx2_available()
-    }
-
-    unsafe fn execute(
-        taps: &Taps2<f32>,
-        a: &[f32],
-        base: isize,
-        stride: isize,
-        dst0: &mut [f32],
-        dst1: Option<&mut [f32]>,
-        pf: Prefetch,
-    ) {
-        if taps.r > reuse::max_radius_avx2::<f32>() {
-            return <Avx2Tile as TileKernel<f32>>::execute(taps, a, base, stride, dst0, dst1, pf);
-        }
-        match dst1 {
-            Some(d1) => reuse::avx2::row_pair_f32(taps, a, base, stride, dst0, d1, pf),
-            None => reuse::avx2::row_single_f32(taps, a, base, stride, dst0, pf),
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-impl TileKernel<f64> for Avx512ReuseTile {
-    type Acc = std::arch::x86_64::__m512d;
-    const NAME: &'static str = "avx512+reuse";
-
-    fn config() -> Config {
-        Config {
-            tile_m: 2,
-            tile_n: 8,
-            unroll: 2,
-            reuse: true,
-        }
-    }
-
-    fn available() -> bool {
-        Dispatch::avx512_available()
-    }
-
-    unsafe fn execute(
-        taps: &Taps2<f64>,
-        a: &[f64],
-        base: isize,
-        stride: isize,
-        dst0: &mut [f64],
-        dst1: Option<&mut [f64]>,
-        pf: Prefetch,
-    ) {
-        if taps.r > reuse::max_radius_avx512::<f64>() {
-            return <Avx512Tile as TileKernel<f64>>::execute(taps, a, base, stride, dst0, dst1, pf);
-        }
-        match dst1 {
-            Some(d1) => reuse::avx512::row_pair_f64(taps, a, base, stride, dst0, d1, pf),
-            None => reuse::avx512::row_single_f64(taps, a, base, stride, dst0, pf),
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-impl TileKernel<f32> for Avx512ReuseTile {
-    type Acc = std::arch::x86_64::__m512;
-    const NAME: &'static str = "avx512+reuse";
-
-    fn config() -> Config {
-        Config {
-            tile_m: 2,
-            tile_n: 16,
-            unroll: 2,
-            reuse: true,
-        }
-    }
-
-    fn available() -> bool {
-        Dispatch::avx512_available()
-    }
-
-    unsafe fn execute(
-        taps: &Taps2<f32>,
-        a: &[f32],
-        base: isize,
-        stride: isize,
-        dst0: &mut [f32],
-        dst1: Option<&mut [f32]>,
-        pf: Prefetch,
-    ) {
-        if taps.r > reuse::max_radius_avx512::<f32>() {
-            return <Avx512Tile as TileKernel<f32>>::execute(taps, a, base, stride, dst0, dst1, pf);
-        }
-        match dst1 {
-            Some(d1) => reuse::avx512::row_pair_f32(taps, a, base, stride, dst0, d1, pf),
-            None => reuse::avx512::row_single_f32(taps, a, base, stride, dst0, pf),
         }
     }
 }
@@ -799,60 +602,6 @@ impl<E: Element> TileKernel<E> for Avx512Tile {
     }
 }
 
-/// See the non-x86 [`Avx2Tile`] impl: unavailable, scalar-delegating.
-#[cfg(not(target_arch = "x86_64"))]
-impl<E: Element> TileKernel<E> for Avx2ReuseTile {
-    type Acc = E;
-    const NAME: &'static str = "avx2+reuse";
-
-    fn config() -> Config {
-        <ScalarTile as TileKernel<E>>::config()
-    }
-
-    fn available() -> bool {
-        false
-    }
-
-    unsafe fn execute(
-        taps: &Taps2<E>,
-        a: &[E],
-        base: isize,
-        stride: isize,
-        dst0: &mut [E],
-        dst1: Option<&mut [E]>,
-        pf: Prefetch,
-    ) {
-        <ScalarTile as TileKernel<E>>::execute(taps, a, base, stride, dst0, dst1, pf);
-    }
-}
-
-/// See the non-x86 [`Avx2Tile`] impl: unavailable, scalar-delegating.
-#[cfg(not(target_arch = "x86_64"))]
-impl<E: Element> TileKernel<E> for Avx512ReuseTile {
-    type Acc = E;
-    const NAME: &'static str = "avx512+reuse";
-
-    fn config() -> Config {
-        <ScalarTile as TileKernel<E>>::config()
-    }
-
-    fn available() -> bool {
-        false
-    }
-
-    unsafe fn execute(
-        taps: &Taps2<E>,
-        a: &[E],
-        base: isize,
-        stride: isize,
-        dst0: &mut [E],
-        dst1: Option<&mut [E]>,
-        pf: Prefetch,
-    ) {
-        <ScalarTile as TileKernel<E>>::execute(taps, a, base, stride, dst0, dst1, pf);
-    }
-}
-
 impl TileKernel<f64> for HybridTile {
     type Acc = f64; // 16 ymm accumulators on x86; Acc documents one lane group
     const NAME: &'static str = "hybrid8x8";
@@ -862,9 +611,6 @@ impl TileKernel<f64> for HybridTile {
             tile_m: 8,
             tile_n: 4,
             unroll: 2,
-            // The inner-tap MLA synthesizes shifted operands in-register
-            // for rows with >= 3 horizontal taps (hybrid::group8_r).
-            reuse: true,
         }
     }
 
@@ -925,7 +671,6 @@ impl TileKernel<f32> for HybridTile {
             tile_m: 8,
             tile_n: 1,
             unroll: 1,
-            reuse: false,
         }
     }
 
@@ -996,25 +741,6 @@ mod tests {
             let a5_32 = <Avx512Tile as TileKernel<f32>>::config();
             assert_eq!(a5_64.tile_n, 2 * a2_64.tile_n);
             assert_eq!(a5_32.tile_n, 2 * a2_32.tile_n);
-            // Reuse instances share their base instance's tile shape;
-            // only the operand-formation flag differs.
-            let r2 = <Avx2ReuseTile as TileKernel<f64>>::config();
-            let r5 = <Avx512ReuseTile as TileKernel<f64>>::config();
-            assert_eq!(
-                r2,
-                Config {
-                    reuse: true,
-                    ..a2_64
-                }
-            );
-            assert_eq!(
-                r5,
-                Config {
-                    reuse: true,
-                    ..a5_64
-                }
-            );
-            assert!(!a2_64.reuse && !a5_64.reuse);
         }
     }
 
@@ -1024,7 +750,5 @@ mod tests {
         assert!(<ScalarTile as TileKernel<f32>>::available());
         assert_eq!(<ScalarTile as TileKernel<f64>>::NAME, "scalar");
         assert_eq!(<Avx512Tile as TileKernel<f64>>::NAME, "avx512");
-        assert_eq!(<Avx2ReuseTile as TileKernel<f64>>::NAME, "avx2+reuse");
-        assert_eq!(<Avx512ReuseTile as TileKernel<f32>>::NAME, "avx512+reuse");
     }
 }

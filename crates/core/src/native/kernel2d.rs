@@ -28,7 +28,6 @@
 
 use super::hybrid;
 use super::kernel::{NativeElement, TileKernel};
-use super::reuse;
 use super::Dispatch;
 use crate::element::Element;
 use crate::stencil::StencilSpec;
@@ -53,12 +52,6 @@ pub struct Taps2<E: Element> {
     /// ([`super::hybrid`]): vertical rank-1 coefficients + inner MLA
     /// taps.
     pub(crate) hybrid: hybrid::TapsHybrid<E>,
-    /// The pair table reshaped for the shifted-register reuse kernels
-    /// (`reuse`): unique column offsets per input row plus
-    /// prefiltered per-output-row `(slot, coeff)` FMA lists.
-    pub(crate) reuse_pair: Vec<reuse::ReuseRow<E>>,
-    /// The single table reshaped the same way (odd last band row).
-    pub(crate) reuse_single: Vec<reuse::ReuseRow<E>>,
 }
 
 impl<E: Element> Taps2<E> {
@@ -84,16 +77,12 @@ impl<E: Element> Taps2<E> {
             let b = Self::row(&single, e - 1, r);
             pair.push(merge_pair_rows(a, b));
         }
-        let reuse_pair = reuse::pair_plan(&pair, r);
-        let reuse_single = reuse::single_plan(&single, r);
         Taps2 {
             r,
             flat,
             single,
             pair,
             hybrid: hybrid::TapsHybrid::new(spec),
-            reuse_pair,
-            reuse_single,
         }
     }
 
@@ -204,19 +193,14 @@ pub(crate) fn sweep_band_2d<E: NativeElement>(
         Dispatch::Scalar => E::KScalar::sweep_band(
             taps, a, a_org, a_stride, w, dst, b_stride, i_lo, i_hi, lanes,
         ),
-        Dispatch::Avx2Fma => E::KAvx2::sweep_band(
+        // The reuse variants are aliases of the canonical kernels.
+        Dispatch::Avx2Fma | Dispatch::Avx2Reuse => E::KAvx2::sweep_band(
             taps, a, a_org, a_stride, w, dst, b_stride, i_lo, i_hi, lanes,
         ),
-        Dispatch::Avx512 => E::KAvx512::sweep_band(
+        Dispatch::Avx512 | Dispatch::Avx512Reuse => E::KAvx512::sweep_band(
             taps, a, a_org, a_stride, w, dst, b_stride, i_lo, i_hi, lanes,
         ),
         Dispatch::Hybrid => E::KHybrid::sweep_band(
-            taps, a, a_org, a_stride, w, dst, b_stride, i_lo, i_hi, lanes,
-        ),
-        Dispatch::Avx2Reuse => E::KAvx2Reuse::sweep_band(
-            taps, a, a_org, a_stride, w, dst, b_stride, i_lo, i_hi, lanes,
-        ),
-        Dispatch::Avx512Reuse => E::KAvx512Reuse::sweep_band(
             taps, a, a_org, a_stride, w, dst, b_stride, i_lo, i_hi, lanes,
         ),
         // The tempvec family drives its own row loop (per-row source

@@ -53,21 +53,22 @@
 //!    byte-stable); it is reachable via [`Dispatch::candidates`], the
 //!    `HSTENCIL_KERNEL`/`HSTENCIL_DISPATCH` pins, the conformance
 //!    registry and the bench harness.
-//! 10. **Shifted-register tap reuse** (`reuse`, DESIGN.md §14) —
-//!     [`Dispatch::Avx2Reuse`] and [`Dispatch::Avx512Reuse`] run the
-//!     same row-pair schedule but load each input row vector once per
-//!     step and synthesize every interior shifted operand in-register
-//!     (the paper's §3.2 EXT idiom): `vpermpd`/`vshufpd` blends on AVX2
-//!     `f64`, `vpalignr` on AVX2 `f32`, native `valignq`/`valignd` on
-//!     AVX-512. Canonical chain, so bit-identical to the shifted-load
-//!     instances; like AVX-512, never auto-selected — reach them via the
-//!     pins, the tuner, [`Dispatch::candidates`] or the registry.
+//! 10. **One kernel table** — every kernel [`Dispatch`] can run is one
+//!     row of a static table (label, env spellings, required ISA, 3-D
+//!     body, canonical chain); [`Dispatch::label`], the env parsers,
+//!     [`Dispatch::candidates`] and the 3-D narrowing all read it. The
+//!     standalone shifted-register reuse kernels (the paper's §3.2 EXT
+//!     idiom on x86) were retired because they measured slower than
+//!     the shifted-load kernels (DESIGN.md §14); the hybrid kernel keeps
+//!     the idiom for its inner taps. [`Dispatch::Avx2Reuse`] and
+//!     [`Dispatch::Avx512Reuse`] remain as aliases of the AVX2 and
+//!     AVX-512 kernels, with no row of their own.
 //!
 //! Dispatch is size-aware ([`Dispatch::for_width`]) and can be pinned
-//! with `HSTENCIL_DISPATCH=scalar|avx2|avx512|hybrid|reuse|avx512+reuse`
-//! (or the instance-named `HSTENCIL_KERNEL`, which takes precedence) —
-//! the canonical-chain paths stay bit-identical either way, the
-//! override only changes speed.
+//! with `HSTENCIL_DISPATCH=scalar|avx2|avx512|hybrid|tempvec` (or the
+//! instance-named `HSTENCIL_KERNEL`, which takes precedence) — the
+//! canonical-chain paths stay bit-identical either way, the override
+//! only changes speed.
 //!
 //! The seed executor is preserved in [`baseline`] and timed side by side
 //! in `BENCH_native.json` (see `crates/bench/benches/native.rs`), the
@@ -90,7 +91,6 @@ mod env;
 mod hybrid;
 mod kernel2d;
 mod kernel3d;
-mod reuse;
 mod tile;
 
 pub use kernel::{NativeElement, TileKernel};
@@ -131,16 +131,15 @@ pub enum Dispatch {
     /// only; has a bit-identical scalar fallback, so it runs on every
     /// host.
     Hybrid,
-    /// The AVX2 shifted-register reuse instance ([`kernel::Avx2ReuseTile`]):
-    /// the [`Dispatch::Avx2Fma`] schedule with horizontal tap operands
-    /// synthesized in-register instead of re-loaded per tap (`reuse`
-    /// module; the paper's EXT idiom). Same canonical chain, so
-    /// bit-identical to every other canonical instance; kept out of the
-    /// auto heuristics like AVX-512.
+    /// Alias of [`Dispatch::Avx2Fma`], kept so existing callers still
+    /// build. It named the retired shifted-register reuse kernel
+    /// (DESIGN.md §14), which computed the same canonical chain, so
+    /// running the shifted-load kernel instead is bit-identical. It has
+    /// no kernel-table row, env spelling or candidate slot, and its
+    /// [`Dispatch::label`] is `avx2+fma`.
     Avx2Reuse,
-    /// The AVX-512 reuse instance ([`kernel::Avx512ReuseTile`]):
-    /// `valignq`/`valignd` operand synthesis over the
-    /// [`Dispatch::Avx512`] schedule (x86-64 with `avx512f` only).
+    /// Alias of [`Dispatch::Avx512`], kept for the same reason as
+    /// [`Dispatch::Avx2Reuse`]; its [`Dispatch::label`] is `avx512`.
     Avx512Reuse,
     /// The temporally-vectorized family ([`tempvec`]): single sweeps
     /// run the two-accumulator shift-synthesized row kernel, and the
@@ -155,7 +154,122 @@ pub enum Dispatch {
     TempVec,
 }
 
+/// The host ISA a kernel needs.
+#[derive(Clone, Copy)]
+enum Isa {
+    /// Runs everywhere (scalar chain, or a bit-identical scalar body).
+    Any,
+    /// x86-64 with AVX2 and FMA.
+    Avx2Fma,
+    /// x86-64 with AVX-512F.
+    Avx512F,
+}
+
+impl Isa {
+    fn available(self) -> bool {
+        match self {
+            Isa::Any => true,
+            Isa::Avx2Fma => Dispatch::avx2_available(),
+            Isa::Avx512F => Dispatch::avx512_available(),
+        }
+    }
+
+    /// What a pin for a kernel of this ISA asks of a host that lacks it.
+    fn request(self) -> &'static str {
+        match self {
+            Isa::Any => unreachable!("every host runs Isa::Any kernels"),
+            Isa::Avx2Fma => "AVX2+FMA but this machine lacks it",
+            Isa::Avx512F => "AVX-512 but this machine lacks avx512f",
+        }
+    }
+}
+
+/// One kernel [`Dispatch`] can run.
+struct KernelRow {
+    dispatch: Dispatch,
+    /// Stable label for reports, tune plans and `BENCH_native.json`.
+    label: &'static str,
+    /// `HSTENCIL_KERNEL` / `HSTENCIL_DISPATCH` spellings (lowercase;
+    /// the first is the one the malformed-pin warning lists, and the
+    /// label is always among them).
+    spellings: &'static [&'static str],
+    isa: Isa,
+    /// False for 2-D-only kernels, which 3-D sweeps narrow to
+    /// [`Dispatch::detect`].
+    has_3d: bool,
+    /// True for the canonical-chain kernels that agree bit-for-bit with
+    /// the scalar chain (the [`Dispatch::candidates`] set).
+    canonical: bool,
+}
+
+/// Every kernel, one row each, in [`Dispatch::candidates`] order. The
+/// label, env parsing, candidate list and 3-D narrowing all read this
+/// table; the alias variants have no row of their own.
+const KERNELS: [KernelRow; 5] = [
+    KernelRow {
+        dispatch: Dispatch::Scalar,
+        label: "scalar",
+        spellings: &["scalar"],
+        isa: Isa::Any,
+        has_3d: true,
+        canonical: true,
+    },
+    KernelRow {
+        dispatch: Dispatch::Avx2Fma,
+        label: "avx2+fma",
+        spellings: &["avx2", "avx2+fma"],
+        isa: Isa::Avx2Fma,
+        has_3d: true,
+        canonical: true,
+    },
+    KernelRow {
+        dispatch: Dispatch::Avx512,
+        label: "avx512",
+        spellings: &["avx512", "avx512f"],
+        isa: Isa::Avx512F,
+        has_3d: false,
+        canonical: true,
+    },
+    KernelRow {
+        dispatch: Dispatch::Hybrid,
+        label: "hybrid8x8",
+        spellings: &["hybrid", "hybrid8x8"],
+        // Bit-identical scalar fallback, so the pin runs everywhere.
+        isa: Isa::Any,
+        has_3d: false,
+        canonical: false,
+    },
+    KernelRow {
+        dispatch: Dispatch::TempVec,
+        label: "tempvec",
+        spellings: &["tempvec"],
+        // Like hybrid, tempvec has a bit-identical scalar body.
+        isa: Isa::Any,
+        has_3d: false,
+        canonical: false,
+    },
+];
+
+/// The row whose spellings include `v` (already trimmed and lowercased).
+fn row_spelled(v: &str) -> Option<&'static KernelRow> {
+    KERNELS.iter().find(|k| k.spellings.contains(&v))
+}
+
 impl Dispatch {
+    /// This dispatch's kernel-table row; the alias variants resolve to
+    /// their target's row.
+    fn row(self) -> &'static KernelRow {
+        let d = match self {
+            Dispatch::Avx2Reuse => Dispatch::Avx2Fma,
+            Dispatch::Avx512Reuse => Dispatch::Avx512,
+            d => d,
+        };
+        KERNELS
+            .iter()
+            .find(|k| k.dispatch == d)
+            .expect("every non-alias dispatch has a kernel-table row")
+    }
+
     /// True if the AVX2 + FMA path can run on this machine.
     pub fn avx2_available() -> bool {
         #[cfg(target_arch = "x86_64")]
@@ -198,55 +312,30 @@ impl Dispatch {
     /// — its accumulation order differs, so it is checked separately
     /// (ULP-bounded) by `native_hybrid` and the conformance registry.
     pub fn candidates() -> Vec<Dispatch> {
-        let mut v = vec![Dispatch::Scalar];
-        if Dispatch::avx2_available() {
-            v.push(Dispatch::Avx2Fma);
-        }
-        if Dispatch::avx512_available() {
-            v.push(Dispatch::Avx512);
-        }
-        if Dispatch::avx2_available() {
-            v.push(Dispatch::Avx2Reuse);
-        }
-        if Dispatch::avx512_available() {
-            v.push(Dispatch::Avx512Reuse);
-        }
-        v
+        KERNELS
+            .iter()
+            .filter(|k| k.canonical && k.isa.available())
+            .map(|k| k.dispatch)
+            .collect()
     }
 
-    /// Stable label for reports and `BENCH_native.json`.
+    /// Stable label for reports and `BENCH_native.json` (an alias
+    /// reports its target's label).
     pub fn label(self) -> &'static str {
-        match self {
-            Dispatch::Scalar => "scalar",
-            Dispatch::Avx2Fma => "avx2+fma",
-            Dispatch::Avx512 => "avx512",
-            Dispatch::Hybrid => "hybrid8x8",
-            Dispatch::Avx2Reuse => "avx2+reuse",
-            Dispatch::Avx512Reuse => "avx512+reuse",
-            Dispatch::TempVec => "tempvec",
-        }
+        self.row().label
     }
 
-    /// Parses an `HSTENCIL_DISPATCH` / `HSTENCIL_KERNEL` value:
-    /// `scalar`, `avx2`, `avx512`, `hybrid`, `reuse` (the AVX2 reuse
-    /// instance) and `avx512+reuse` pin the path, `auto` (or empty)
-    /// keeps the size-aware heuristic. Pinning an ISA path on a machine
+    /// Parses an `HSTENCIL_DISPATCH` / `HSTENCIL_KERNEL` value: any
+    /// kernel-table spelling (`scalar`, `avx2`, `avx512`, `hybrid`,
+    /// `tempvec`, or a label) pins the path, `auto` (or empty) keeps
+    /// the size-aware heuristic. Pinning an ISA path on a machine
     /// without the ISA is ignored rather than deferred to a later
-    /// kernel panic (`hybrid` is fine everywhere — it has a scalar
-    /// fallback).
+    /// kernel panic (`hybrid` and `tempvec` are fine everywhere — they
+    /// have scalar fallbacks).
     pub fn from_env_str(v: &str) -> Option<Dispatch> {
-        match v.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(Dispatch::Scalar),
-            "avx2" | "avx2+fma" if Dispatch::avx2_available() => Some(Dispatch::Avx2Fma),
-            "avx512" | "avx512f" if Dispatch::avx512_available() => Some(Dispatch::Avx512),
-            "hybrid" | "hybrid8x8" => Some(Dispatch::Hybrid),
-            "reuse" | "avx2+reuse" if Dispatch::avx2_available() => Some(Dispatch::Avx2Reuse),
-            "avx512+reuse" if Dispatch::avx512_available() => Some(Dispatch::Avx512Reuse),
-            // Like hybrid, tempvec has a bit-identical scalar body, so
-            // the pin is honored on every host.
-            "tempvec" => Some(Dispatch::TempVec),
-            _ => None,
-        }
+        row_spelled(&v.trim().to_ascii_lowercase())
+            .filter(|k| k.isa.available())
+            .map(|k| k.dispatch)
     }
 
     /// [`Dispatch::from_env_str`] plus a warning for values that are
@@ -265,23 +354,25 @@ impl Dispatch {
         if parsed.is_some() {
             return (parsed, None);
         }
-        let warn = match v.trim().to_ascii_lowercase().as_str() {
-            "" | "auto" => None,
-            "avx2" | "avx2+fma" | "reuse" | "avx2+reuse" => Some(format!(
-                "hstencil: {var}={v:?} requests AVX2+FMA but this \
-                 machine lacks it; using the size-aware heuristic"
-            )),
-            "avx512" | "avx512f" | "avx512+reuse" => Some(format!(
-                "hstencil: {var}={v:?} requests AVX-512 but this \
-                 machine lacks avx512f; using the size-aware heuristic"
-            )),
-            _ => Some(format!(
-                "hstencil: ignoring malformed {var}={v:?} \
-                 (expected scalar|avx2|avx512|hybrid|reuse|avx512+reuse|tempvec|auto); \
-                 using the size-aware heuristic"
-            )),
+        let key = v.trim().to_ascii_lowercase();
+        if key.is_empty() || key == "auto" {
+            return (None, None);
+        }
+        let warn = match row_spelled(&key) {
+            Some(k) => format!(
+                "hstencil: {var}={v:?} requests {}; using the size-aware heuristic",
+                k.isa.request()
+            ),
+            None => {
+                let expected: Vec<&str> = KERNELS.iter().map(|k| k.spellings[0]).collect();
+                format!(
+                    "hstencil: ignoring malformed {var}={v:?} (expected {}|auto); \
+                     using the size-aware heuristic",
+                    expected.join("|")
+                )
+            }
         };
-        (None, warn)
+        (None, Some(warn))
     }
 
     /// The process-wide kernel pin: `HSTENCIL_KERNEL` (the
@@ -372,19 +463,16 @@ impl Dispatch {
         Dispatch::for_sweep_dtype(spec, h, w, threads, Dtype::F64)
     }
 
-    /// Maps 2-D-only dispatches to their 3-D equivalent: the hybrid
-    /// register tile has no 3-D body, and the AVX-512 instance is 2-D
-    /// only as well, so a `Hybrid`/`Avx512` pin or plan falls back to
-    /// the best canonical kernel. The 3-D entry points apply this,
-    /// keeping [`kernel3d`]'s dispatch match two-way.
+    /// Maps dispatches to a kernel with a 3-D body: 2-D-only kernels
+    /// (hybrid, AVX-512, tempvec) fall back to the best canonical
+    /// kernel, and aliases resolve to their target. The 3-D entry
+    /// points apply this, keeping [`kernel3d`]'s dispatch match two-way.
     fn narrow_3d(self) -> Dispatch {
-        match self {
-            Dispatch::Hybrid
-            | Dispatch::Avx512
-            | Dispatch::Avx2Reuse
-            | Dispatch::Avx512Reuse
-            | Dispatch::TempVec => Dispatch::detect(),
-            d => d,
+        let row = self.row();
+        if row.has_3d {
+            row.dispatch
+        } else {
+            Dispatch::detect()
         }
     }
 }
@@ -1101,21 +1189,24 @@ mod tests {
         } else {
             assert_eq!(avx512, None);
         }
-        let reuse = Dispatch::from_env_str("reuse");
-        if Dispatch::avx2_available() {
-            assert_eq!(reuse, Some(Dispatch::Avx2Reuse));
-            assert_eq!(
-                Dispatch::from_env_str("AVX2+Reuse"),
-                Some(Dispatch::Avx2Reuse)
-            );
-        } else {
-            assert_eq!(reuse, None);
+    }
+
+    #[test]
+    fn kernel_table_rows_are_unique_and_parse_back() {
+        for (i, k) in KERNELS.iter().enumerate() {
+            assert!(k.spellings.contains(&k.label), "{}", k.label);
+            assert_eq!(k.dispatch.row().label, k.label);
+            let want = k.isa.available().then_some(k.dispatch);
+            for s in k.spellings {
+                assert_eq!(Dispatch::from_env_str(s), want, "{s}");
+                for other in &KERNELS[i + 1..] {
+                    assert!(!other.spellings.contains(s), "{s} spelled twice");
+                }
+            }
         }
-        let reuse512 = Dispatch::from_env_str("avx512+reuse");
-        if Dispatch::avx512_available() {
-            assert_eq!(reuse512, Some(Dispatch::Avx512Reuse));
-        } else {
-            assert_eq!(reuse512, None);
+        // The aliases have no row of their own.
+        for alias in [Dispatch::Avx2Reuse, Dispatch::Avx512Reuse] {
+            assert!(KERNELS.iter().all(|k| k.dispatch != alias));
         }
     }
 
@@ -1138,16 +1229,8 @@ mod tests {
             assert_eq!(p, None);
             assert!(w.unwrap().contains("AVX2"));
         }
-        if !Dispatch::avx2_available() {
-            let (p, w) = Dispatch::from_env_str_warn("reuse");
-            assert_eq!(p, None);
-            assert!(w.unwrap().contains("AVX2"));
-        }
         if !Dispatch::avx512_available() {
             let (p, w) = Dispatch::from_env_str_warn("avx512");
-            assert_eq!(p, None);
-            assert!(w.unwrap().contains("avx512f"));
-            let (p, w) = Dispatch::from_env_str_warn("avx512+reuse");
             assert_eq!(p, None);
             assert!(w.unwrap().contains("avx512f"));
         }
@@ -1183,14 +1266,6 @@ mod tests {
         assert_eq!(
             Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", "avx512").0,
             Dispatch::from_env_str("avx512")
-        );
-        assert_eq!(
-            Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", "reuse").0,
-            Dispatch::from_env_str("reuse")
-        );
-        assert_eq!(
-            Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", "avx512+reuse").0,
-            Dispatch::from_env_str("avx512+reuse")
         );
         assert_eq!(
             Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", "tempvec").0,

@@ -21,8 +21,8 @@
 //! `row + x + k` with a broadcast-FMA per tap; the tap pointers and
 //! broadcast coefficients are flattened into per-row tables once, so
 //! the hot loop is nothing but load/FMA pairs. (An EXT-synthesis
-//! variant built on the `super::reuse` shift helpers was measured
-//! first and lost ~2x: with the ring buffers L1-resident, reloads ride
+//! variant built on the since-retired reuse kernels' shift helpers was
+//! measured first and lost ~2x: with the ring buffers L1-resident, reloads ride
 //! x86's dual load ports while the synthesis serializes on port-5
 //! shuffles — the same standalone finding recorded in DESIGN.md §14.
 //! Shuffles move IEEE values, so both forms produce identical lanes
@@ -184,7 +184,7 @@ mod x86 {
     /// synthesis (shuffles move IEEE values, reloads re-read them),
     /// but on x86's dual load ports a reload is cheaper than the
     /// port-5 shuffle traffic the synthesis costs, the same standalone
-    /// finding §14 records for the reuse kernels. Tap pointers and
+    /// finding §14 records for the retired reuse kernels. Tap pointers and
     /// broadcast coefficients are flattened once per row, so the hot
     /// loop carries no nested-list walk, no per-step re-broadcast and
     /// no runtime-shift dispatch; the main loop retires two output

@@ -38,8 +38,7 @@
 //!   default cache path. Candidates that cannot win for the key's
 //!   pattern/radius/dtype are pruned before anything is timed
 //!   ([`prune_dominated`], skip count logged), keeping a force-mode
-//!   miss to a few seconds per key even with the reuse families on
-//!   the axis.
+//!   miss to a few seconds per key.
 //! * **`<path>`** — consult (never write) the plan file at `path`.
 //! * **unset/empty** — consult (never write) the default cache path,
 //!   `target/hstencil-tune.json`; a missing file simply means "no
@@ -129,7 +128,7 @@ pub fn plan_key(spec: &StencilSpec, class: ShapeClass, dtype: Dtype, threads: us
 }
 
 /// The innermost multi-sweep strategy a persisted plan records: the
-/// spatial level loop (every canonical/hybrid/reuse dispatch) or the
+/// spatial level loop (every canonical/hybrid dispatch) or the
 /// temporally-vectorized fused wavefront ([`Dispatch::TempVec`]). The
 /// strategy is fully determined by the dispatch — the key segment
 /// spells it out so a v4 document is auditable without a dispatch
@@ -305,7 +304,8 @@ impl PlanSet {
         let version = doc.get("version").and_then(Json::as_f64);
         if version != Some(SCHEMA_VERSION as f64) {
             return Err(format!(
-                "stale or unknown schema version {version:?} (want {SCHEMA_VERSION};                  pre-strategy-key plans must be re-tuned, not reused)"
+                "stale or unknown schema version {version:?} (want {SCHEMA_VERSION}; \
+                 pre-strategy-key plans must be re-tuned, not reused)"
             ));
         }
         let rows = doc
@@ -341,33 +341,25 @@ pub struct Candidate {
 }
 
 /// The deterministic candidate grid for one shape class:
-/// {best canonical kernel, hybrid 8×8, shifted-register reuse,
-/// temporally-vectorized} × tile geometries × `t_block` depths. The
-/// reuse dispatches join the axis only on hosts whose ISA carries
-/// them; tempvec always joins (scalar fallback). Order is fixed — the tuner
-/// breaks cost ties by keeping the earliest candidate, so enumeration
-/// order is part of the determinism contract (new families append
-/// after the existing ones; index 0 never moves).
+/// {best canonical kernel, hybrid 8×8, temporally-vectorized} × tile
+/// geometries × `t_block` depths. Order is fixed — the tuner breaks
+/// cost ties by keeping the earliest candidate, so enumeration order
+/// is part of the determinism contract (new families append after the
+/// existing ones; index 0 never moves).
 pub fn candidates(class: ShapeClass) -> Vec<Candidate> {
-    let mut dispatches = vec![
+    let dispatches = [
         if Dispatch::avx2_available() {
             Dispatch::Avx2Fma
         } else {
             Dispatch::Scalar
         },
         Dispatch::Hybrid,
+        // The temporally-vectorized family is runnable everywhere (its
+        // scalar body is part of the bit-identity contract), so it
+        // always joins the axis; on vector hosts its rows also put the
+        // fused wavefront strategy up for measurement.
+        Dispatch::TempVec,
     ];
-    if Dispatch::avx2_available() {
-        dispatches.push(Dispatch::Avx2Reuse);
-    }
-    if Dispatch::avx512_available() {
-        dispatches.push(Dispatch::Avx512Reuse);
-    }
-    // The temporally-vectorized family is runnable everywhere (its
-    // scalar body is part of the bit-identity contract), so it always
-    // joins the axis; on vector hosts its rows also put the fused
-    // wavefront strategy up for measurement.
-    dispatches.push(Dispatch::TempVec);
     let tiles = tile::temporal_tile_candidates();
     let t_blocks: &[usize] = match class {
         // Cache-resident runs gain nothing from deep fusion.
@@ -415,51 +407,23 @@ pub fn run_tuner_over(cands: &[Candidate], measure: &mut dyn FnMut(&Candidate) -
     }
 }
 
-/// Drops candidates that cannot win for this **(pattern, radius,
-/// dtype)** before any wall clock runs, returning the survivors and
-/// the skip count. `HSTENCIL_TUNE=force` measures every surviving
-/// candidate with a multi-sample superstep, so each pruned row saves
-/// real seconds per key. The rules are conservative — a candidate is
-/// dropped only when its measurement is provably redundant or
-/// dominated by another candidate *in the same list*:
-///
-/// * **`f32` × hybrid**: the hybrid instance has no `f32` vector body
-///   (it sweeps through the scalar chain), so whenever the list also
-///   carries a canonical vector kernel the hybrid rows are dominated.
-/// * **Over-cap reuse**: a reuse dispatch whose ISA shift range cannot
-///   cover the stencil radius delegates wholesale to its plain-tile
-///   sibling, so measuring it re-measures a kernel already on the
-///   axis.
+/// Drops candidates that cannot win at this `dtype` before any wall
+/// clock runs, returning the survivors and the skip count.
+/// `HSTENCIL_TUNE=force` measures every surviving candidate with a
+/// multi-sample superstep, so each pruned row saves real seconds per
+/// key. One rule: the hybrid instance has no `f32` vector body (it
+/// sweeps through the scalar chain), so at `f32` its rows are dominated
+/// whenever the list also carries a canonical vector kernel.
 ///
 /// Candidate 0 (the best canonical kernel) is never pruned, so the
 /// grid never empties. Pure — unit-testable without a host ISA.
-pub fn prune_dominated(
-    cands: &[Candidate],
-    spec: &StencilSpec,
-    dtype: Dtype,
-) -> (Vec<Candidate>, usize) {
-    let r = spec.radius() as isize;
-    let (cap_avx2, cap_avx512) = match dtype {
-        Dtype::F64 => (
-            super::reuse::max_radius_avx2::<f64>(),
-            super::reuse::max_radius_avx512::<f64>(),
-        ),
-        Dtype::F32 => (
-            super::reuse::max_radius_avx2::<f32>(),
-            super::reuse::max_radius_avx512::<f32>(),
-        ),
-    };
+pub fn prune_dominated(cands: &[Candidate], dtype: Dtype) -> (Vec<Candidate>, usize) {
     let has_vector = cands
         .iter()
         .any(|c| matches!(c.dispatch, Dispatch::Avx2Fma | Dispatch::Avx512));
     let kept: Vec<Candidate> = cands
         .iter()
-        .filter(|c| match c.dispatch {
-            Dispatch::Hybrid => !(dtype == Dtype::F32 && has_vector),
-            Dispatch::Avx2Reuse => r <= cap_avx2,
-            Dispatch::Avx512Reuse => r <= cap_avx512,
-            _ => true,
-        })
+        .filter(|c| !(c.dispatch == Dispatch::Hybrid && dtype == Dtype::F32 && has_vector))
         .copied()
         .collect();
     let skipped = cands.len() - kept.len();
@@ -643,7 +607,7 @@ pub fn plan_for(
     if !force {
         return None;
     }
-    let (kept, skipped) = prune_dominated(&candidates(class), spec, dtype);
+    let (kept, skipped) = prune_dominated(&candidates(class), dtype);
     if skipped > 0 {
         eprintln!(
             "hstencil: tune[{base}]: pruned {skipped} dominated candidate(s) before measuring"
@@ -758,112 +722,44 @@ mod tests {
     }
 
     #[test]
-    fn candidate_grid_puts_reuse_on_the_kernel_axis() {
+    fn candidate_grid_keeps_its_kernel_order() {
         for class in [ShapeClass::Resident, ShapeClass::Streaming] {
             let cands = candidates(class);
             // Index 0 is still the best canonical kernel — the flat
-            // tie-break contract pins it, reuse families only append.
+            // tie-break contract pins it; hybrid and tempvec follow.
             assert!(matches!(
                 cands[0].dispatch,
                 Dispatch::Avx2Fma | Dispatch::Scalar
             ));
-            assert_eq!(
-                cands.iter().any(|c| c.dispatch == Dispatch::Avx2Reuse),
-                Dispatch::avx2_available()
-            );
-            assert_eq!(
-                cands.iter().any(|c| c.dispatch == Dispatch::Avx512Reuse),
-                Dispatch::avx512_available()
-            );
-            // The tempvec family is unconditionally on the axis (its
-            // scalar body runs anywhere), appended after the reuse rows
-            // so every pre-v4 index is undisturbed.
-            assert!(cands.iter().any(|c| c.dispatch == Dispatch::TempVec));
-            assert_eq!(cands.last().unwrap().dispatch, Dispatch::TempVec);
+            let mut axis: Vec<Dispatch> = cands.iter().map(|c| c.dispatch).collect();
+            axis.dedup();
+            assert_eq!(axis[1..], [Dispatch::Hybrid, Dispatch::TempVec]);
         }
     }
 
-    /// A hand-built grid with every family present, so the pruning
-    /// tests do not depend on the host ISA.
-    fn full_grid() -> Vec<Candidate> {
-        [
-            Dispatch::Avx2Fma,
-            Dispatch::Hybrid,
-            Dispatch::Avx2Reuse,
-            Dispatch::Avx512Reuse,
-        ]
-        .iter()
-        .map(|&dispatch| Candidate {
-            dispatch,
-            tile: (64, 512),
-            t_block: 4,
-        })
-        .collect()
-    }
-
     #[test]
-    fn prune_drops_f32_hybrid_when_a_vector_kernel_is_on_the_axis() {
-        let star = presets::star2d5p();
-        let grid = full_grid();
-        let (kept, skipped) = prune_dominated(&grid, &star, Dtype::F32);
+    fn prune_drops_f32_hybrid_only_when_a_vector_kernel_is_on_the_axis() {
+        let grid: Vec<Candidate> = [Dispatch::Avx2Fma, Dispatch::Hybrid, Dispatch::TempVec]
+            .iter()
+            .map(|&dispatch| Candidate {
+                dispatch,
+                tile: (64, 512),
+                t_block: 4,
+            })
+            .collect();
+        let (kept, skipped) = prune_dominated(&grid, Dtype::F32);
         assert_eq!(skipped, 1);
         assert!(!kept.iter().any(|c| c.dispatch == Dispatch::Hybrid));
         assert_eq!(kept[0].dispatch, Dispatch::Avx2Fma, "index 0 survives");
         // At f64 the hybrid has a real vector body — kept.
-        let (kept64, skipped64) = prune_dominated(&grid, &star, Dtype::F64);
-        assert_eq!(skipped64, 0);
-        assert_eq!(kept64, grid);
+        assert_eq!(prune_dominated(&grid, Dtype::F64), (grid.clone(), 0));
         // With no vector kernel on the axis (scalar-only host) the
-        // hybrid is the only non-scalar candidate — kept even at f32.
-        let scalar_grid: Vec<Candidate> = grid
-            .iter()
-            .filter(|c| matches!(c.dispatch, Dispatch::Hybrid))
-            .copied()
-            .collect();
-        let (kept_s, skipped_s) = prune_dominated(&scalar_grid, &star, Dtype::F32);
-        assert_eq!(skipped_s, 0);
-        assert_eq!(kept_s, scalar_grid);
-    }
-
-    #[test]
-    fn prune_drops_over_cap_reuse_candidates() {
-        // radius 5 exceeds the AVX2 f64 shift range (4) but not the
-        // AVX-512 one (8): the avx2+reuse rows would delegate
-        // wholesale to the plain tile already measured at index 0.
-        let axis = [0.25, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.25];
-        let wide = StencilSpec::star_2d("star2d21p-test", 5, axis[5], &axis, &axis);
-        let grid = full_grid();
-        let (kept, skipped) = prune_dominated(&grid, &wide, Dtype::F64);
-        assert_eq!(skipped, 1);
-        assert!(!kept.iter().any(|c| c.dispatch == Dispatch::Avx2Reuse));
-        assert!(kept.iter().any(|c| c.dispatch == Dispatch::Avx512Reuse));
-        // At f32 the AVX2 shift range is 8 lanes wide — radius 5 fits.
-        let (kept32, skipped32) = prune_dominated(&grid, &wide, Dtype::F32);
-        assert_eq!(skipped32, 1, "only the dominated f32 hybrid goes");
-        assert!(kept32.iter().any(|c| c.dispatch == Dispatch::Avx2Reuse));
-        // Every preset fits every reuse range: nothing pruned at f64.
-        for spec in presets::suite_2d() {
-            let (_, s) = prune_dominated(&grid, &spec, Dtype::F64);
-            assert_eq!(
-                s,
-                0,
-                "{}: presets never trigger radius pruning",
-                spec.name()
-            );
-        }
-    }
-
-    #[test]
-    fn prune_never_empties_the_grid() {
-        let axis_r9: Vec<f64> = (0..19).map(|k| if k == 9 { -1.0 } else { 0.05 }).collect();
-        let huge = StencilSpec::star_2d("star-r9-test", 9, -1.0, &axis_r9, &axis_r9);
-        let (kept, skipped) = prune_dominated(&full_grid(), &huge, Dtype::F32);
-        // At f32 r=9 both the hybrid (dominated) and avx2+reuse
-        // (shift range 8) fall; avx512+reuse (range 16) survives.
-        assert_eq!(skipped, 2);
-        assert!(!kept.is_empty());
-        assert_eq!(kept[0].dispatch, Dispatch::Avx2Fma);
-        assert!(kept.iter().any(|c| c.dispatch == Dispatch::Avx512Reuse));
+        // hybrid is kept even at f32.
+        let scalar_grid = grid[1..].to_vec();
+        assert_eq!(
+            prune_dominated(&scalar_grid, Dtype::F32),
+            (scalar_grid.clone(), 0)
+        );
     }
 
     #[test]
@@ -1067,6 +963,26 @@ mod tests {
                     \"tile_rows\":128,\"tile_cols\":512,\"t_block\":8}]}";
         let set = PlanSet::parse(text).unwrap();
         assert!(set.is_empty());
+    }
+
+    #[test]
+    fn retired_reuse_dispatch_rows_are_dropped_and_the_rest_load() {
+        // Plan files written before the reuse kernels were retired may
+        // name them; those rows drop, every other row still loads.
+        let text = "{\"tool\":\"hstencil-tune\",\"version\":4,\"plans\":[\
+                    {\"key\":\"star/r1/streaming/f64/t1/spatial\",\"dispatch\":\"avx2+reuse\",\
+                    \"tile_rows\":128,\"tile_cols\":512,\"t_block\":8},\
+                    {\"key\":\"star/r1/resident/f64/t1/spatial\",\"dispatch\":\"avx512+reuse\",\
+                    \"tile_rows\":64,\"tile_cols\":256,\"t_block\":4},\
+                    {\"key\":\"box/r1/streaming/f64/t2/spatial\",\"dispatch\":\"scalar\",\
+                    \"tile_rows\":64,\"tile_cols\":256,\"t_block\":4}]}";
+        let set = PlanSet::parse(text).unwrap();
+        assert_eq!(set.len(), 1);
+        assert_eq!(
+            set.get("box/r1/streaming/f64/t2/spatial")
+                .map(|p| p.dispatch),
+            Some(Dispatch::Scalar)
+        );
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! `HSTENCIL_DISPATCH` / `HSTENCIL_THREADS` overrides, end to end.
+//! `HSTENCIL_DISPATCH` / `HSTENCIL_THREADS` overrides, end to end, and
+//! the dispatch aliases and spellings those overrides parse.
 //! Lives in its own test binary because the overrides are read once per
 //! process (`OnceLock`): the env vars must be set before the first
 //! dispatch/thread decision, no other test in this binary may want a
@@ -6,8 +7,8 @@
 //! here sets *both* vars (to the same values) before touching any
 //! override-reading API.
 
-use hstencil_core::native::{self, pool::ThreadPool, threads, Dispatch};
-use hstencil_core::{presets, Grid2d};
+use hstencil_core::native::{self, pool::ThreadPool, threads, tune, Dispatch};
+use hstencil_core::{presets, Grid2d, Grid2dT};
 
 fn pin_env() {
     std::env::set_var("HSTENCIL_DISPATCH", "scalar");
@@ -67,4 +68,77 @@ fn threads_override_pins_the_lane_count_process_wide() {
         1,
         "HSTENCIL_THREADS=2 must cap the lane count at 2 (1 worker + caller)"
     );
+}
+
+#[test]
+fn reuse_aliases_run_their_canonical_targets_and_are_not_pinnable() {
+    pin_env();
+
+    // Each alias runs its target kernel, bit for bit, at both widths.
+    let spec = presets::box2d25p();
+    let grid = Grid2d::from_fn(37, 53, 2, |i, j| ((i * 7 + j * 3) % 19) as f64 * 0.23 - 2.0);
+    let grid32 = Grid2dT::<f32>::convert_from(&grid);
+    let pairs = [
+        (
+            Dispatch::Avx2Reuse,
+            Dispatch::Avx2Fma,
+            Dispatch::avx2_available(),
+        ),
+        (
+            Dispatch::Avx512Reuse,
+            Dispatch::Avx512,
+            Dispatch::avx512_available(),
+        ),
+    ];
+    for (alias, target, available) in pairs {
+        assert_eq!(alias.label(), target.label());
+        if !available {
+            println!("{alias:?} alias check SKIPPED: host lacks the {target:?} ISA");
+            continue;
+        }
+        let mut want = Grid2d::zeros(37, 53, 2);
+        let mut got = Grid2d::zeros(37, 53, 2);
+        native::apply_2d_with(target, &spec, &grid, &mut want);
+        native::apply_2d_with(alias, &spec, &grid, &mut got);
+        assert_eq!(want.max_interior_diff(&got), 0.0, "{alias:?} f64");
+        let mut want32 = Grid2dT::<f32>::zeros(37, 53, 2);
+        let mut got32 = Grid2dT::<f32>::zeros(37, 53, 2);
+        native::apply_2d_with(target, &spec, &grid32, &mut want32);
+        native::apply_2d_with(alias, &spec, &grid32, &mut got32);
+        assert_eq!(want32.max_interior_diff(&got32), 0.0, "{alias:?} f32");
+    }
+
+    // Neither alias is a candidate anywhere.
+    let aliases = [Dispatch::Avx2Reuse, Dispatch::Avx512Reuse];
+    assert!(Dispatch::candidates().iter().all(|d| !aliases.contains(d)));
+    for class in [tune::ShapeClass::Resident, tune::ShapeClass::Streaming] {
+        assert!(tune::candidates(class)
+            .iter()
+            .all(|c| !aliases.contains(&c.dispatch)));
+    }
+
+    // The retired spellings are malformed pins now, and say so.
+    for v in ["reuse", "avx2+reuse", "avx512+reuse"] {
+        let (parsed, warn) = Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", v);
+        assert_eq!(parsed, None, "{v}");
+        let warn = warn.expect("a retired spelling must warn");
+        assert!(warn.contains("malformed"), "{warn}");
+        assert!(
+            !warn.contains("reuse|"),
+            "lists no retired spelling: {warn}"
+        );
+    }
+
+    // Every kernel's label parses back to it where its ISA is present.
+    let kernels = [
+        (Dispatch::Scalar, true),
+        (Dispatch::Avx2Fma, Dispatch::avx2_available()),
+        (Dispatch::Avx512, Dispatch::avx512_available()),
+        (Dispatch::Hybrid, true),
+        (Dispatch::TempVec, true),
+    ];
+    for (d, available) in kernels {
+        let want = available.then_some(d);
+        assert_eq!(Dispatch::from_env_str(d.label()), want, "{}", d.label());
+    }
 }
