@@ -248,10 +248,10 @@ impl Variant {
     }
 
     /// The temporally-vectorized family pinned to one *specific* ISA
-    /// body (`native/tempvec+avx512`). The plain `native/tempvec` row
-    /// runs the widest body the host carries; this twin keeps a
-    /// narrower body covered where both exist. Registration is gated on
-    /// the cap being executable, mirroring the AVX-512 rows.
+    /// body (`native/tempvec+avx2`, `native/tempvec+scalar`). The plain
+    /// `native/tempvec` row runs the widest body the host carries; these
+    /// twins keep each narrower body covered. Registration is gated on
+    /// the cap being executable and narrower than `TvIsa::best()`.
     pub fn native_tempvec_capped(cap: TvIsa) -> Variant {
         Variant {
             name: format!("native/tempvec+{}", cap.label()),
@@ -381,10 +381,14 @@ pub fn registry() -> Vec<Variant> {
     if Dispatch::avx512_available() {
         v.push(Variant::native(Dispatch::Avx512));
         v.push(Variant::native_f32(Dispatch::Avx512));
-        // The tempvec family pinned to its valignq/valignd bodies
-        // (otherwise only the widest body the dispatcher picks runs).
-        v.push(Variant::native_tempvec_capped(TvIsa::Avx512));
-        v.push(Variant::native_f32_tempvec_capped(TvIsa::Avx512));
+    }
+    // The plain tempvec rows run only the widest body the host carries;
+    // one capped twin per narrower body keeps every body covered.
+    for cap in [TvIsa::Scalar, TvIsa::Avx2] {
+        if cap.available() && cap != TvIsa::best() {
+            v.push(Variant::native_tempvec_capped(cap));
+            v.push(Variant::native_f32_tempvec_capped(cap));
+        }
     }
     v
 }
@@ -392,8 +396,8 @@ pub fn registry() -> Vec<Variant> {
 /// Human-readable notices for the rows this host **cannot** register —
 /// the visible half of the registry's "a visible, not silent,
 /// narrowing" contract. The conformance matrix prints these once per
-/// run, so a report missing e.g. the tempvec AVX-512 twins says why
-/// instead of just being shorter.
+/// run, so a report missing e.g. the tempvec twins says why instead of
+/// just being shorter.
 pub fn skip_notices() -> Vec<String> {
     skip_notices_for(Dispatch::avx2_available(), Dispatch::avx512_available())
 }
@@ -410,12 +414,17 @@ pub fn skip_notices_for(avx2: bool, avx512: bool) -> Vec<String> {
             "conformance: skipping native/avx512 and native/f32/avx512: host lacks avx512f"
                 .to_string(),
         );
-        out.push(
-            "conformance: skipping native/tempvec+avx512 and native/f32/tempvec+avx512: \
-             host lacks avx512f (the portable native/tempvec rows still run the widest \
-             body this host carries)"
-                .to_string(),
-        );
+    }
+    // A tempvec twin registers only for a body narrower than the widest
+    // one this host carries, which the plain rows already run.
+    for (cap, wider, lacks) in [("avx2", avx512, "avx512f"), ("scalar", avx2, "AVX2")] {
+        if !wider {
+            out.push(format!(
+                "conformance: skipping native/tempvec+{cap} and native/f32/tempvec+{cap}: \
+                 host lacks {lacks} (the portable native/tempvec rows still run the widest \
+                 body this host carries)"
+            ));
+        }
     }
     out
 }
@@ -476,13 +485,21 @@ mod tests {
                 "tempvec variant {needed} missing from the matrix: {names:?}"
             );
         }
-        if Dispatch::avx512_available() {
-            for needed in [
-                "native/avx512",
-                "native/f32/avx512",
-                "native/tempvec+avx512",
-                "native/f32/tempvec+avx512",
+        // One capped tempvec twin per body narrower than the widest,
+        // which the plain rows run.
+        for (cap, wider) in [
+            ("scalar", Dispatch::avx2_available()),
+            ("avx2", Dispatch::avx512_available()),
+        ] {
+            for twin in [
+                format!("native/tempvec+{cap}"),
+                format!("native/f32/tempvec+{cap}"),
             ] {
+                assert_eq!(names.contains(&twin), wider, "{twin}: {names:?}");
+            }
+        }
+        if Dispatch::avx512_available() {
+            for needed in ["native/avx512", "native/f32/avx512"] {
                 assert!(
                     names.iter().any(|n| n == needed),
                     "AVX-512 instance {needed} missing despite host support: {names:?}"
@@ -500,21 +517,26 @@ mod tests {
     fn skip_notices_name_every_ungated_tempvec_twin() {
         // A fully-capable host narrows nothing and says nothing.
         assert!(skip_notices_for(true, true).is_empty());
-        // Without avx512f the notices name the tempvec twins explicitly
-        // and say why the skip is legal (the portable rows still run).
+        // Without avx512f the AVX2 body is the widest, so its twins do
+        // not register; the notice names them and says why the skip is
+        // legal (the portable rows still run that body).
         let narrowed = skip_notices_for(true, false);
         assert_eq!(narrowed.len(), 2);
         let tempvec_notice = narrowed
             .iter()
-            .find(|n| n.contains("native/tempvec+avx512"))
-            .expect("no notice names the tempvec avx512 twin");
-        assert!(tempvec_notice.contains("native/f32/tempvec+avx512"));
+            .find(|n| n.contains("native/tempvec+avx2"))
+            .expect("no notice names the tempvec avx2 twin");
+        assert!(tempvec_notice.contains("native/f32/tempvec+avx2"));
         assert!(tempvec_notice.contains("host lacks avx512f"));
-        assert!(tempvec_notice.contains("native/tempvec"));
-        // A scalar-only host reports both narrowings; none of them
-        // claims the portable tempvec rows are gone.
+        assert!(tempvec_notice.contains("native/tempvec rows"));
+        // A scalar-only host reports every narrowing, the scalar twins
+        // included; none of them claims the portable tempvec rows are
+        // gone.
         let scalar_only = skip_notices_for(false, false);
-        assert_eq!(scalar_only.len(), 3);
+        assert_eq!(scalar_only.len(), 4);
+        assert!(scalar_only
+            .iter()
+            .any(|n| n.contains("native/f32/tempvec+scalar") && n.contains("host lacks AVX2")));
         assert!(scalar_only
             .iter()
             .all(|n| n.starts_with("conformance: skipping ")));

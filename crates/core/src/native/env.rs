@@ -1,14 +1,11 @@
 //! One warn-once reader for every `HSTENCIL_*` environment knob.
 //!
-//! Before this module each knob (`HSTENCIL_PREFETCH`, `HSTENCIL_DISPATCH`,
-//! `HSTENCIL_NT`, `HSTENCIL_THREADS`) hand-rolled the same three lines:
-//! read the variable, parse it with a `(_value, warning)` fallback pair,
-//! memoize the result in a `OnceLock` and print the warning exactly once.
-//! Four copies of that pattern meant four chances to drift (one could
-//! forget the warning, another could re-read the environment per call).
-//! [`cached`] is the single implementation; the typed parsers stay next
-//! to the types they produce and only the read/memoize/warn plumbing
-//! lives here.
+//! Each knob (`HSTENCIL_DISPATCH`, `HSTENCIL_THREADS`) needs the same
+//! three steps: read the variable, parse it with a `(_value, warning)`
+//! fallback pair, memoize the result in a `OnceLock` and print the
+//! warning exactly once. [`cached`] is the single implementation; the
+//! typed parsers stay next to the types they produce and only the
+//! read/memoize/warn plumbing lives here.
 //!
 //! The shared contract every knob honors (pinned by the test suite
 //! below):
@@ -47,7 +44,7 @@ where
 
 #[cfg(test)]
 mod tests {
-    use super::super::{hybrid::NtPolicy, threads, Dispatch, Prefetch};
+    use super::super::{threads, Dispatch};
     use super::*;
 
     /// A knob's parser adapted to the common `Option<&str> -> warning`
@@ -58,24 +55,12 @@ mod tests {
     fn parsers() -> Vec<(&'static str, WarnParser)> {
         vec![
             (
-                "HSTENCIL_PREFETCH",
-                Box::new(|v| Prefetch::from_env_str_warn(v).1),
-            ),
-            (
                 "HSTENCIL_DISPATCH",
                 Box::new(|v| Dispatch::from_env_str_warn(v.unwrap_or("")).1),
             ),
             (
-                "HSTENCIL_NT",
-                Box::new(|v| NtPolicy::from_env_str_warn(v.unwrap_or("")).1),
-            ),
-            (
                 "HSTENCIL_THREADS",
                 Box::new(|v| threads::from_env_str_warn(v).1),
-            ),
-            (
-                "HSTENCIL_KERNEL",
-                Box::new(|v| Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", v.unwrap_or("")).1),
             ),
         ]
     }

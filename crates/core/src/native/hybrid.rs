@@ -41,9 +41,8 @@
 //!    **lane-aware** ([`staged_store_policy`]): each concurrent band
 //!    adds its own NT stream, and past [`MAX_NT_LANES`] streams the
 //!    DRAM-bus collision outweighs the saved read-for-ownership, so
-//!    saturated sweeps fall back to plain stores per band.
-//!    `HSTENCIL_NT=direct|staged` pins the choice; each staging lane
-//!    fences its own stores once per band before the pool barrier.
+//!    saturated sweeps fall back to plain stores per band. Each staging
+//!    lane fences its own stores once per band before the pool barrier.
 //!
 //! # Element genericity
 //!
@@ -82,7 +81,6 @@
 use super::tile;
 use crate::element::Element;
 use crate::stencil::StencilSpec;
-use std::sync::OnceLock;
 
 /// Radii with a monomorphized AVX2 tile body; larger radii take the
 /// scalar hybrid chain (bit-identical, just slower).
@@ -190,75 +188,13 @@ const STAGE_MIN_BAND_BYTES: usize = 4 << 20;
 /// — DESIGN.md §10's contention caveat turned into a measured policy.
 const MAX_NT_LANES: usize = 2;
 
-/// Non-temporal store policy for streaming hybrid bands
-/// (`HSTENCIL_NT`): `auto` (default) stages when the band working set
-/// is streaming-sized *and* at most [`MAX_NT_LANES`] lanes run
-/// concurrently; `direct` / `staged` pin the path either way. Like
-/// `HSTENCIL_DISPATCH`, the policy only moves stores — both paths
-/// retire bit-identical values.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum NtPolicy {
-    /// Band-size and lane-count aware heuristic (the default).
-    Auto,
-    /// Always plain stores, never a staging buffer.
-    Direct,
-    /// Always stage + NT-drain (when the vector tile runs at all).
-    Staged,
-}
-
-impl NtPolicy {
-    /// Parses an `HSTENCIL_NT` value; `None` means "keep auto".
-    pub(crate) fn from_env_str(v: &str) -> Option<NtPolicy> {
-        match v.trim().to_ascii_lowercase().as_str() {
-            "direct" => Some(NtPolicy::Direct),
-            "staged" => Some(NtPolicy::Staged),
-            _ => None,
-        }
-    }
-
-    /// [`NtPolicy::from_env_str`] plus a warning for values that are
-    /// neither a known policy nor the explicit `auto`/empty spellings —
-    /// same convention as `HSTENCIL_DISPATCH`/`HSTENCIL_PREFETCH`.
-    pub(crate) fn from_env_str_warn(v: &str) -> (Option<NtPolicy>, Option<String>) {
-        let parsed = NtPolicy::from_env_str(v);
-        if parsed.is_some() {
-            return (parsed, None);
-        }
-        let warn = match v.trim().to_ascii_lowercase().as_str() {
-            "" | "auto" => None,
-            _ => Some(format!(
-                "hstencil: ignoring malformed HSTENCIL_NT={v:?} \
-                 (expected auto|direct|staged); using the lane-aware auto policy"
-            )),
-        };
-        (None, warn)
-    }
-
-    /// The process-wide `HSTENCIL_NT` override (env read once through
-    /// [`super::env::cached`]; malformed values warn on stderr once and
-    /// keep the auto policy).
-    fn env_override() -> Option<NtPolicy> {
-        static OVERRIDE: OnceLock<Option<NtPolicy>> = OnceLock::new();
-        super::env::cached(&OVERRIDE, "HSTENCIL_NT", |v| {
-            NtPolicy::from_env_str_warn(v.unwrap_or(""))
-        })
-    }
-}
-
 /// Whether a band of `band_bytes` working set swept by one of `lanes`
-/// concurrent lanes should retire rows through the staged NT drain
-/// under `policy` (`None` = auto). Pure so the policy table is unit
-/// testable without touching the environment.
-pub(crate) fn staged_store_policy(
-    policy: Option<NtPolicy>,
-    lanes: usize,
-    band_bytes: usize,
-) -> bool {
-    match policy.unwrap_or(NtPolicy::Auto) {
-        NtPolicy::Direct => false,
-        NtPolicy::Staged => true,
-        NtPolicy::Auto => band_bytes > STAGE_MIN_BAND_BYTES && lanes <= MAX_NT_LANES,
-    }
+/// concurrent lanes should retire rows through the staged NT drain:
+/// only when the band is streaming-sized *and* at most
+/// [`MAX_NT_LANES`] lanes run concurrently. The policy only moves
+/// stores — both paths retire bit-identical values.
+pub(crate) fn staged_store_policy(lanes: usize, band_bytes: usize) -> bool {
+    band_bytes > STAGE_MIN_BAND_BYTES && lanes <= MAX_NT_LANES
 }
 
 /// Sweeps output rows `i_lo .. i_hi` of a band with the hybrid chain —
@@ -302,7 +238,7 @@ pub(crate) fn sweep_band_hybrid(
     #[cfg(target_arch = "x86_64")]
     let mut stage = {
         let band_bytes = 2 * (i_hi - i_lo) * w * std::mem::size_of::<f64>();
-        if vector_ok && staged_store_policy(NtPolicy::env_override(), lanes, band_bytes) {
+        if vector_ok && staged_store_policy(lanes, band_bytes) {
             vec![0.0f64; 2 * 8 * cb]
         } else {
             Vec::new()
@@ -316,7 +252,7 @@ pub(crate) fn sweep_band_hybrid(
         let mut i = i_lo;
         #[cfg(target_arch = "x86_64")]
         if vector_ok && jw >= 8 {
-            let pf = super::prefetch::Prefetch::config();
+            let pf = super::prefetch::Prefetch::DEFAULT;
             if stage.is_empty() {
                 while i + 8 <= i_hi {
                     // SAFETY: AVX2+FMA verified above; all loads stay
@@ -410,9 +346,7 @@ pub(crate) fn sweep_band_hybrid_staged<E: super::kernel::NativeElement>(
         // NT stores need AVX (`vmovntps`/`vmovntpd` through
         // `NativeElement::stream_chunk`); gate on the same detection
         // the f64 path uses.
-        if super::Dispatch::avx2_available()
-            && staged_store_policy(NtPolicy::env_override(), lanes, band_bytes)
-        {
+        if super::Dispatch::avx2_available() && staged_store_policy(lanes, band_bytes) {
             vec![E::ZERO; 2 * 8 * cb]
         } else {
             Vec::new()
@@ -987,49 +921,18 @@ mod tests {
     }
 
     #[test]
-    fn nt_env_parsing() {
-        assert_eq!(NtPolicy::from_env_str("direct"), Some(NtPolicy::Direct));
-        assert_eq!(NtPolicy::from_env_str(" STAGED "), Some(NtPolicy::Staged));
-        assert_eq!(NtPolicy::from_env_str("auto"), None);
-        assert_eq!(NtPolicy::from_env_str(""), None);
-        assert_eq!(NtPolicy::from_env_str("bogus"), None);
-    }
-
-    #[test]
-    fn nt_malformed_values_warn_with_value_and_default() {
-        let (parsed, warn) = NtPolicy::from_env_str_warn("bogus");
-        assert_eq!(parsed, None);
-        let warn = warn.expect("malformed value must produce a warning");
-        assert!(warn.contains("HSTENCIL_NT"), "{warn}");
-        assert!(warn.contains("\"bogus\""), "names the bad value: {warn}");
-        assert!(warn.contains("auto policy"), "names the default: {warn}");
-        // The intentional "keep auto" spellings stay silent.
-        assert_eq!(NtPolicy::from_env_str_warn("auto"), (None, None));
-        assert_eq!(NtPolicy::from_env_str_warn(""), (None, None));
-        assert!(NtPolicy::from_env_str_warn("direct").1.is_none());
-        assert!(NtPolicy::from_env_str_warn("staged").1.is_none());
-    }
-
-    #[test]
     fn staged_store_policy_is_band_and_lane_aware() {
         let big = STAGE_MIN_BAND_BYTES + 1;
         let small = STAGE_MIN_BAND_BYTES;
-        // Auto: streaming bands stage while at most MAX_NT_LANES
-        // concurrent NT streams exist; more lanes fall back to direct.
-        assert!(staged_store_policy(None, 1, big));
-        assert!(staged_store_policy(None, 2, big));
-        assert!(!staged_store_policy(None, 3, big), "NT streams collide");
-        assert!(!staged_store_policy(None, 8, big));
-        // Auto: cache-resident bands never stage, at any lane count.
-        assert!(!staged_store_policy(None, 1, small));
-        assert!(!staged_store_policy(None, 2, small));
-        // Pins trump both dimensions.
-        for lanes in [1usize, 2, 3, 16] {
-            for bytes in [small, big] {
-                assert!(!staged_store_policy(Some(NtPolicy::Direct), lanes, bytes));
-                assert!(staged_store_policy(Some(NtPolicy::Staged), lanes, bytes));
-            }
-        }
+        // Streaming bands stage while at most MAX_NT_LANES concurrent
+        // NT streams exist; more lanes fall back to direct.
+        assert!(staged_store_policy(1, big));
+        assert!(staged_store_policy(2, big));
+        assert!(!staged_store_policy(3, big), "NT streams collide");
+        assert!(!staged_store_policy(8, big));
+        // Cache-resident bands never stage, at any lane count.
+        assert!(!staged_store_policy(1, small));
+        assert!(!staged_store_policy(2, small));
     }
 
     #[cfg(target_arch = "x86_64")]

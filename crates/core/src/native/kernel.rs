@@ -4,40 +4,46 @@
 //! outer-product + MLA schedule maps onto *any* wide-vector engine; this
 //! module is that claim as a Rust trait. [`TileKernel`] abstracts "sweep
 //! a register tile of output rows over preprocessed taps", and each
-//! (ISA × element type) backend is one instance:
+//! backend is one instance:
 //!
-//! | instance      | `f64`                | `f32`                 |
-//! |---------------|----------------------|-----------------------|
-//! | [`ScalarTile`]| canonical FMA chain  | canonical FMA chain   |
-//! | [`Avx2Tile`]  | 2×8 cols, 4-lane ymm | 2×16 cols, 8-lane ymm |
-//! | [`Avx512Tile`]| 2×16 cols, 8-lane zmm| 2×32 cols, 16-lane zmm|
-//! | [`HybridTile`]| 8×8 Algorithm-2 tile | scalar chain + staged NT |
+//! | instance      | `f64`                | `f32`                 | 3-D      |
+//! |---------------|----------------------|-----------------------|----------|
+//! | [`ScalarTile`]| canonical FMA chain  | canonical FMA chain   | yes      |
+//! | [`Avx2Tile`]  | 2×8 cols, 4-lane ymm | 2×16 cols, 8-lane ymm | yes      |
+//! | [`Avx512Tile`]| 2×16 cols, 8-lane zmm| 2×32 cols, 16-lane zmm| yes      |
+//! | [`HybridTile`]| 8×8 Algorithm-2 tile | scalar chain + staged NT | no (narrowed) |
 //!
 //! # The bit-identity contract
 //!
 //! Every instance computes each output element as the *same* fused
-//! multiply-add chain over the nonzero taps in canonical `(di, dj)`
-//! ascending order starting from zero. `_mm256_fmadd_pd`,
-//! `_mm512_fmadd_pd` and `f64::mul_add` (and their `f32` counterparts)
-//! all round once per step, so within one element type every
-//! non-hybrid instance is **bit-identical** to the scalar chain
-//! regardless of vector width — dispatch can change speed, never
+//! multiply-add chain over the nonzero taps in canonical `(dk, di, dj)`
+//! ascending order starting from zero. Vector `fma` and
+//! `Element::mul_add` all round once per step, so within one element
+//! type every non-hybrid instance is **bit-identical** to the scalar
+//! chain regardless of vector width — dispatch can change speed, never
 //! results. The hybrid instance reassociates (vertical rank-1 + folded
-//! inner partial) and is ULP-bounded instead, exactly as before the
-//! trait existed.
+//! inner partial) and is ULP-bounded instead.
 //!
-//! # Why associated kernel types instead of `impl<E> TileKernel<E>`
+//! # One body per schedule
 //!
-//! Stable Rust has no specialization, so one generic impl per backend
-//! could not give `f64` and `f32` different intrinsic bodies.
-//! [`NativeElement`] names the four backend instances per element type
-//! (`KScalar`/`KAvx2`/`KAvx512`/`KHybrid`);
-//! generic drivers pick an instance through those associated types and
-//! monomorphize to exactly the hand-written code that existed before
-//! the refactor.
+//! The two SIMD instances are generic over the element type: each
+//! reaches the canonical row-pair and single-row bodies of `kernel2d`
+//! through the `#[target_feature]` shim of its ISA, instantiated at the
+//! element's vector register — [`NativeElement`]'s hidden `Ymm`
+//! (256-bit) or `Zmm` (512-bit) lane type. The call goes through the
+//! per-dtype `NativeElement::canonical_rows`, so the bodies are
+//! compiled once per dtype here rather than once in every crate that
+//! sweeps: a binary carries one copy of each, and the hot loop keeps
+//! the code placement the per-ISA copies had (on a 2-vCPU AVX-512 Xeon
+//! the same loop instantiated in the benchmark crate ran the in-cache
+//! `sweep_l2` workload 20–30% slower). The hybrid tile keeps per-dtype
+//! impls, named by [`NativeElement::KHybrid`].
 
 use super::kernel2d;
-use super::kernel3d;
+#[cfg(target_arch = "x86_64")]
+use super::kernel2d::Simd;
+#[cfg(target_arch = "x86_64")]
+use super::lane::Lane;
 use super::prefetch::Prefetch;
 use super::{hybrid, tile, Dispatch};
 use crate::element::Element;
@@ -45,22 +51,14 @@ use crate::element::Element;
 pub use super::kernel2d::Taps2;
 pub use super::kernel3d::Taps3;
 
-/// Register-tile geometry of one [`TileKernel`] instance, in elements:
-/// output rows per `execute` step (`tile_m`), vector lanes per
-/// accumulator (`tile_n`) and accumulators per output row (`unroll`).
-///
-/// `tile_m >= 2` is the signal the generic band driver uses to walk
-/// output rows in pairs (the register-blocking reuse the paper's
-/// Algorithm 2 relies on); the other two fields are diagnostic — they
-/// describe the instance's main-loop shape for tooling and tests.
+/// Register-tile geometry of one [`TileKernel`] instance: output rows
+/// per `execute` step. `tile_m >= 2` is the signal the generic band
+/// drivers use to walk output rows in pairs (the register-blocking
+/// reuse the paper's Algorithm 2 relies on).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Config {
     /// Output rows computed per `execute` step.
     pub tile_m: usize,
-    /// Vector lanes per accumulator register.
-    pub tile_n: usize,
-    /// Accumulator registers per output row in the main loop.
-    pub unroll: usize,
 }
 
 /// One register-tile kernel backend for element type `E`.
@@ -69,13 +67,7 @@ pub struct Config {
 /// so a backend is selected purely at the type level (see
 /// [`NativeElement`]) and monomorphizes with no dynamic dispatch.
 pub trait TileKernel<E: Element> {
-    /// The accumulator register type of the main loop (`__m256d`,
-    /// `__m512`, or `E` itself for the scalar chain). Diagnostic: it
-    /// documents what the instance keeps live across the tap chain.
-    type Acc: Copy;
-
-    /// Stable instance name (matches [`Dispatch::label`] where a
-    /// dispatch exists, and the `HSTENCIL_KERNEL` spellings).
+    /// Stable instance name (matches [`Dispatch::label`]).
     const NAME: &'static str;
 
     /// Register-tile geometry of this instance.
@@ -105,10 +97,10 @@ pub trait TileKernel<E: Element> {
     );
 
     /// The 3-D analogue of [`TileKernel::execute`] over `(dk, di, dj)`
-    /// taps. The default is the canonical scalar chain — bit-identical
-    /// to every SIMD body by the module contract — so 2-D-only
-    /// instances (AVX-512, which `Dispatch::narrow_3d` maps away
-    /// anyway) need not provide one.
+    /// taps. The default is the canonical scalar chain; every SIMD
+    /// instance runs the same canonical bodies as in 2-D. The hybrid
+    /// instance keeps the default, but `Dispatch::narrow_3d` maps it
+    /// away before any 3-D sweep.
     ///
     /// # Safety
     ///
@@ -123,10 +115,10 @@ pub trait TileKernel<E: Element> {
         dst0: &mut [E],
         dst1: Option<&mut [E]>,
     ) {
-        let _ = plane_stride;
-        kernel3d::scalar_row3(taps, a, base, plane_stride, stride, dst0);
+        let flat = &taps.chain.flat;
+        kernel2d::scalar_row(flat, a, base, plane_stride, stride, dst0);
         if let Some(d1) = dst1 {
-            kernel3d::scalar_row3(taps, a, base + stride, plane_stride, stride, d1);
+            kernel2d::scalar_row(flat, a, base + stride, plane_stride, stride, d1);
         }
     }
 
@@ -166,7 +158,7 @@ pub trait TileKernel<E: Element> {
         let mut j0 = 0usize;
         while j0 < w {
             let jw = cb.min(w - j0);
-            let pf = Prefetch::config();
+            let pf = Prefetch::DEFAULT;
             let mut i = i_lo;
             while i < i_hi {
                 let base = a_org + i as isize * a_stride + j0 as isize;
@@ -200,19 +192,44 @@ pub trait TileKernel<E: Element> {
     }
 }
 
-/// An element type the native executor can drive end-to-end: names the
-/// four backend instances (working around the absence of
-/// specialization) and provides the non-temporal store primitive the
-/// generic staged-NT drain is built on.
+/// An element type the native executor can drive end-to-end: names its
+/// vector registers and its hybrid instance (working around the
+/// absence of specialization) and provides the non-temporal store
+/// primitive the generic staged-NT drain is built on.
 pub trait NativeElement: Element {
-    /// The always-available canonical-chain instance.
-    type KScalar: TileKernel<Self>;
-    /// The AVX2+FMA instance (scalar-delegating off x86-64).
-    type KAvx2: TileKernel<Self>;
-    /// The AVX-512F instance (scalar-delegating off x86-64).
-    type KAvx512: TileKernel<Self>;
+    /// This dtype's 256-bit (AVX2) vector register.
+    #[cfg(target_arch = "x86_64")]
+    #[doc(hidden)]
+    type Ymm: Lane<E = Self>;
+    /// This dtype's 512-bit (AVX-512) vector register.
+    #[cfg(target_arch = "x86_64")]
+    #[doc(hidden)]
+    type Zmm: Lane<E = Self>;
     /// The hybrid 8-row Algorithm-2 instance.
     type KHybrid: TileKernel<Self>;
+
+    /// One canonical row pair (`dst1` present) or single row through
+    /// the `isa` shim. Per-dtype so each canonical body is compiled
+    /// once, in this crate, not once per crate that sweeps.
+    ///
+    /// # Safety
+    ///
+    /// The host must run `isa`, and `a` must cover every tap read of
+    /// the rows (the padded-grid halo contract).
+    #[cfg(target_arch = "x86_64")]
+    #[doc(hidden)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn canonical_rows(
+        isa: kernel2d::Simd,
+        taps: &kernel2d::Chain<Self>,
+        a: &[Self],
+        base: isize,
+        plane_stride: isize,
+        stride: isize,
+        dst0: &mut [Self],
+        dst1: Option<&mut [Self]>,
+        pf: Prefetch,
+    );
 
     /// Streams `n` elements from `src` to 32-byte-aligned `dst` with
     /// non-temporal stores (`n * size_of::<Self>()` must be a multiple
@@ -227,25 +244,6 @@ pub trait NativeElement: Element {
     #[cfg(target_arch = "x86_64")]
     unsafe fn stream_chunk(dst: *mut Self, src: *const Self, n: usize);
 
-    /// One tempvec row at the given (effective) ISA body — per-dtype
-    /// plumbing for [`super::tempvec`], not a public API.
-    ///
-    /// # Safety
-    ///
-    /// `isa` must be runnable on this host, every `srows[d] + x` must
-    /// be readable for `x < n_read`, and `dst + x` writable for
-    /// `x < n` (see `tempvec::wave_row`).
-    #[doc(hidden)]
-    unsafe fn tv_wave_row(
-        isa: super::tempvec::TvIsa,
-        single: &[Vec<(isize, Self)>],
-        r: isize,
-        srows: &[*const Self],
-        n: usize,
-        n_read: usize,
-        dst: *mut Self,
-    );
-
     /// The process-wide arena of reusable temporal-executor scratch
     /// slots for this dtype — per-dtype storage for
     /// [`super::temporal`]'s allocation reuse, not a public API.
@@ -254,9 +252,10 @@ pub trait NativeElement: Element {
 }
 
 impl NativeElement for f64 {
-    type KScalar = ScalarTile;
-    type KAvx2 = Avx2Tile;
-    type KAvx512 = Avx512Tile;
+    #[cfg(target_arch = "x86_64")]
+    type Ymm = std::arch::x86_64::__m256d;
+    #[cfg(target_arch = "x86_64")]
+    type Zmm = std::arch::x86_64::__m512d;
     type KHybrid = HybridTile;
 
     #[cfg(target_arch = "x86_64")]
@@ -264,16 +263,29 @@ impl NativeElement for f64 {
         stream_chunk_pd(dst, src, n);
     }
 
-    unsafe fn tv_wave_row(
-        isa: super::tempvec::TvIsa,
-        single: &[Vec<(isize, Self)>],
-        r: isize,
-        srows: &[*const Self],
-        n: usize,
-        n_read: usize,
-        dst: *mut Self,
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn canonical_rows(
+        isa: kernel2d::Simd,
+        taps: &kernel2d::Chain<Self>,
+        a: &[Self],
+        base: isize,
+        plane_stride: isize,
+        stride: isize,
+        dst0: &mut [Self],
+        dst1: Option<&mut [Self]>,
+        pf: Prefetch,
     ) {
-        super::tempvec::wave_row_f64(isa, single, r, srows, n, n_read, dst);
+        kernel2d::canonical_rows::<Self::Ymm, Self::Zmm>(
+            isa,
+            taps,
+            a,
+            base,
+            plane_stride,
+            stride,
+            dst0,
+            dst1,
+            pf,
+        );
     }
 
     fn temporal_arena() -> &'static std::sync::Mutex<Vec<super::temporal::Scratch<Self>>> {
@@ -284,9 +296,10 @@ impl NativeElement for f64 {
 }
 
 impl NativeElement for f32 {
-    type KScalar = ScalarTile;
-    type KAvx2 = Avx2Tile;
-    type KAvx512 = Avx512Tile;
+    #[cfg(target_arch = "x86_64")]
+    type Ymm = std::arch::x86_64::__m256;
+    #[cfg(target_arch = "x86_64")]
+    type Zmm = std::arch::x86_64::__m512;
     type KHybrid = HybridTile;
 
     #[cfg(target_arch = "x86_64")]
@@ -294,16 +307,29 @@ impl NativeElement for f32 {
         stream_chunk_ps(dst, src, n);
     }
 
-    unsafe fn tv_wave_row(
-        isa: super::tempvec::TvIsa,
-        single: &[Vec<(isize, Self)>],
-        r: isize,
-        srows: &[*const Self],
-        n: usize,
-        n_read: usize,
-        dst: *mut Self,
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn canonical_rows(
+        isa: kernel2d::Simd,
+        taps: &kernel2d::Chain<Self>,
+        a: &[Self],
+        base: isize,
+        plane_stride: isize,
+        stride: isize,
+        dst0: &mut [Self],
+        dst1: Option<&mut [Self]>,
+        pf: Prefetch,
     ) {
-        super::tempvec::wave_row_f32(isa, single, r, srows, n, n_read, dst);
+        kernel2d::canonical_rows::<Self::Ymm, Self::Zmm>(
+            isa,
+            taps,
+            a,
+            base,
+            plane_stride,
+            stride,
+            dst0,
+            dst1,
+            pf,
+        );
     }
 
     fn temporal_arena() -> &'static std::sync::Mutex<Vec<super::temporal::Scratch<Self>>> {
@@ -351,7 +377,7 @@ pub struct Avx2Tile;
 
 /// The AVX-512F register-pair instance (double the AVX2 lane count;
 /// runtime-detected, never chosen by auto-heuristics — reach it via
-/// `HSTENCIL_KERNEL=avx512`, the tuner, or explicit dispatch).
+/// `HSTENCIL_DISPATCH=avx512`, the tuner, or explicit dispatch).
 #[derive(Clone, Copy, Debug)]
 pub struct Avx512Tile;
 
@@ -362,15 +388,10 @@ pub struct Avx512Tile;
 pub struct HybridTile;
 
 impl<E: Element> TileKernel<E> for ScalarTile {
-    type Acc = E;
     const NAME: &'static str = "scalar";
 
     fn config() -> Config {
-        Config {
-            tile_m: 1,
-            tile_n: 1,
-            unroll: 1,
-        }
+        Config { tile_m: 1 }
     }
 
     fn available() -> bool {
@@ -386,24 +407,23 @@ impl<E: Element> TileKernel<E> for ScalarTile {
         dst1: Option<&mut [E]>,
         _pf: Prefetch,
     ) {
-        kernel2d::scalar_row(&taps.flat, a, base, stride, dst0);
+        let flat = &taps.chain.flat;
+        kernel2d::scalar_row(flat, a, base, 0, stride, dst0);
         if let Some(d1) = dst1 {
-            kernel2d::scalar_row(&taps.flat, a, base + stride, stride, d1);
+            kernel2d::scalar_row(flat, a, base + stride, 0, stride, d1);
         }
     }
 }
 
+/// The 2-D tables sit at plane offset `dk = 0`, so 2-D calls pass plane
+/// stride 0 and keep their prefetch hints; 3-D calls pass
+/// [`Prefetch::OFF`].
 #[cfg(target_arch = "x86_64")]
-impl TileKernel<f64> for Avx2Tile {
-    type Acc = std::arch::x86_64::__m256d;
+impl<E: NativeElement> TileKernel<E> for Avx2Tile {
     const NAME: &'static str = "avx2+fma";
 
     fn config() -> Config {
-        Config {
-            tile_m: 2,
-            tile_n: 4,
-            unroll: 2,
-        }
+        Config { tile_m: 2 }
     }
 
     fn available() -> bool {
@@ -411,83 +431,48 @@ impl TileKernel<f64> for Avx2Tile {
     }
 
     unsafe fn execute(
-        taps: &Taps2<f64>,
-        a: &[f64],
+        taps: &Taps2<E>,
+        a: &[E],
         base: isize,
         stride: isize,
-        dst0: &mut [f64],
-        dst1: Option<&mut [f64]>,
+        dst0: &mut [E],
+        dst1: Option<&mut [E]>,
         pf: Prefetch,
     ) {
-        match dst1 {
-            Some(d1) => kernel2d::avx2::row_pair(taps, a, base, stride, dst0, d1, pf),
-            None => kernel2d::avx2::row_single(taps, a, base, stride, dst0, pf),
-        }
+        E::canonical_rows(Simd::Avx2, &taps.chain, a, base, 0, stride, dst0, dst1, pf);
     }
 
     unsafe fn execute3(
-        taps: &Taps3<f64>,
-        a: &[f64],
+        taps: &Taps3<E>,
+        a: &[E],
         base: isize,
         plane_stride: isize,
         stride: isize,
-        dst0: &mut [f64],
-        dst1: Option<&mut [f64]>,
+        dst0: &mut [E],
+        dst1: Option<&mut [E]>,
     ) {
-        match dst1 {
-            Some(d1) => kernel3d::avx2::row_pair(taps, a, base, plane_stride, stride, dst0, d1),
-            None => kernel3d::avx2::row_single(taps, a, base, plane_stride, stride, dst0),
-        }
+        let (chain, pf) = (&taps.chain, Prefetch::OFF);
+        E::canonical_rows(
+            Simd::Avx2,
+            chain,
+            a,
+            base,
+            plane_stride,
+            stride,
+            dst0,
+            dst1,
+            pf,
+        );
     }
 }
 
+/// As the [`Avx2Tile`] impl, at the 512-bit registers.
 #[cfg(target_arch = "x86_64")]
-impl TileKernel<f32> for Avx2Tile {
-    type Acc = std::arch::x86_64::__m256;
-    const NAME: &'static str = "avx2+fma";
-
-    fn config() -> Config {
-        Config {
-            tile_m: 2,
-            tile_n: 8,
-            unroll: 2,
-        }
-    }
-
-    fn available() -> bool {
-        Dispatch::avx2_available()
-    }
-
-    unsafe fn execute(
-        taps: &Taps2<f32>,
-        a: &[f32],
-        base: isize,
-        stride: isize,
-        dst0: &mut [f32],
-        dst1: Option<&mut [f32]>,
-        pf: Prefetch,
-    ) {
-        match dst1 {
-            Some(d1) => kernel2d::avx2::row_pair_f32(taps, a, base, stride, dst0, d1, pf),
-            None => kernel2d::avx2::row_single_f32(taps, a, base, stride, dst0, pf),
-        }
-    }
-
-    // execute3: scalar-chain default (bit-identical). The 3-D f32 path
-    // has no bespoke SIMD body yet; DESIGN.md §12 records the gap.
-}
-
-#[cfg(target_arch = "x86_64")]
-impl TileKernel<f64> for Avx512Tile {
-    type Acc = std::arch::x86_64::__m512d;
+impl<E: NativeElement> TileKernel<E> for Avx512Tile {
     const NAME: &'static str = "avx512";
 
     fn config() -> Config {
-        Config {
-            tile_m: 2,
-            tile_n: 8,
-            unroll: 2,
-        }
+        Config { tile_m: 2 }
     }
 
     fn available() -> bool {
@@ -495,54 +480,48 @@ impl TileKernel<f64> for Avx512Tile {
     }
 
     unsafe fn execute(
-        taps: &Taps2<f64>,
-        a: &[f64],
+        taps: &Taps2<E>,
+        a: &[E],
         base: isize,
         stride: isize,
-        dst0: &mut [f64],
-        dst1: Option<&mut [f64]>,
+        dst0: &mut [E],
+        dst1: Option<&mut [E]>,
         pf: Prefetch,
     ) {
-        match dst1 {
-            Some(d1) => kernel2d::avx512::row_pair_f64(taps, a, base, stride, dst0, d1, pf),
-            None => kernel2d::avx512::row_single_f64(taps, a, base, stride, dst0, pf),
-        }
+        E::canonical_rows(
+            Simd::Avx512,
+            &taps.chain,
+            a,
+            base,
+            0,
+            stride,
+            dst0,
+            dst1,
+            pf,
+        );
     }
 
-    // execute3: scalar-chain default — AVX-512 is a 2-D instance and
-    // Dispatch::narrow_3d maps it away before any 3-D sweep.
-}
-
-#[cfg(target_arch = "x86_64")]
-impl TileKernel<f32> for Avx512Tile {
-    type Acc = std::arch::x86_64::__m512;
-    const NAME: &'static str = "avx512";
-
-    fn config() -> Config {
-        Config {
-            tile_m: 2,
-            tile_n: 16,
-            unroll: 2,
-        }
-    }
-
-    fn available() -> bool {
-        Dispatch::avx512_available()
-    }
-
-    unsafe fn execute(
-        taps: &Taps2<f32>,
-        a: &[f32],
+    unsafe fn execute3(
+        taps: &Taps3<E>,
+        a: &[E],
         base: isize,
+        plane_stride: isize,
         stride: isize,
-        dst0: &mut [f32],
-        dst1: Option<&mut [f32]>,
-        pf: Prefetch,
+        dst0: &mut [E],
+        dst1: Option<&mut [E]>,
     ) {
-        match dst1 {
-            Some(d1) => kernel2d::avx512::row_pair_f32(taps, a, base, stride, dst0, d1, pf),
-            None => kernel2d::avx512::row_single_f32(taps, a, base, stride, dst0, pf),
-        }
+        let (chain, pf) = (&taps.chain, Prefetch::OFF);
+        E::canonical_rows(
+            Simd::Avx512,
+            chain,
+            a,
+            base,
+            plane_stride,
+            stride,
+            dst0,
+            dst1,
+            pf,
+        );
     }
 }
 
@@ -551,7 +530,6 @@ impl TileKernel<f32> for Avx512Tile {
 /// `Dispatch::avx2_available()` gates dispatch there.
 #[cfg(not(target_arch = "x86_64"))]
 impl<E: Element> TileKernel<E> for Avx2Tile {
-    type Acc = E;
     const NAME: &'static str = "avx2+fma";
 
     fn config() -> Config {
@@ -578,7 +556,6 @@ impl<E: Element> TileKernel<E> for Avx2Tile {
 /// See the non-x86 [`Avx2Tile`] impl: unavailable, scalar-delegating.
 #[cfg(not(target_arch = "x86_64"))]
 impl<E: Element> TileKernel<E> for Avx512Tile {
-    type Acc = E;
     const NAME: &'static str = "avx512";
 
     fn config() -> Config {
@@ -603,15 +580,10 @@ impl<E: Element> TileKernel<E> for Avx512Tile {
 }
 
 impl TileKernel<f64> for HybridTile {
-    type Acc = f64; // 16 ymm accumulators on x86; Acc documents one lane group
     const NAME: &'static str = "hybrid8x8";
 
     fn config() -> Config {
-        Config {
-            tile_m: 8,
-            tile_n: 4,
-            unroll: 2,
-        }
+        Config { tile_m: 8 }
     }
 
     fn available() -> bool {
@@ -663,15 +635,10 @@ impl TileKernel<f64> for HybridTile {
 }
 
 impl TileKernel<f32> for HybridTile {
-    type Acc = f32;
     const NAME: &'static str = "hybrid8x8";
 
     fn config() -> Config {
-        Config {
-            tile_m: 8,
-            tile_n: 1,
-            unroll: 1,
-        }
+        Config { tile_m: 8 }
     }
 
     fn available() -> bool {
@@ -729,18 +696,19 @@ mod tests {
 
     #[test]
     fn configs_describe_the_register_tiles() {
-        assert_eq!(<ScalarTile as TileKernel<f64>>::config().tile_m, 1);
-        assert_eq!(<HybridTile as TileKernel<f64>>::config().tile_m, 8);
+        fn rows<K: TileKernel<f64> + TileKernel<f32>>() -> (usize, usize) {
+            (
+                <K as TileKernel<f64>>::config().tile_m,
+                <K as TileKernel<f32>>::config().tile_m,
+            )
+        }
+        assert_eq!(rows::<ScalarTile>(), (1, 1));
+        assert_eq!(rows::<HybridTile>(), (8, 8));
         #[cfg(target_arch = "x86_64")]
         {
-            // f32 doubles lanes at equal register width.
-            let a2_64 = <Avx2Tile as TileKernel<f64>>::config();
-            let a2_32 = <Avx2Tile as TileKernel<f32>>::config();
-            assert_eq!(a2_32.tile_n, 2 * a2_64.tile_n);
-            let a5_64 = <Avx512Tile as TileKernel<f64>>::config();
-            let a5_32 = <Avx512Tile as TileKernel<f32>>::config();
-            assert_eq!(a5_64.tile_n, 2 * a2_64.tile_n);
-            assert_eq!(a5_32.tile_n, 2 * a2_32.tile_n);
+            // Both SIMD instances register-block output row pairs.
+            assert_eq!(rows::<Avx2Tile>(), (2, 2));
+            assert_eq!(rows::<Avx512Tile>(), (2, 2));
         }
     }
 

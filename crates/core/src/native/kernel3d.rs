@@ -1,139 +1,43 @@
-//! 3-D micro-kernels with the same dispatch / bit-exactness contract as
-//! [`super::kernel2d`]: every output element is one FMA chain over the
-//! nonzero taps in canonical `(dk, di, dj)` ascending order, so every
-//! dispatch path agrees bit-for-bit within one element type.
+//! The 3-D band walk, with the same dispatch / bit-exactness contract
+//! as [`super::kernel2d`]: every output element is one FMA chain over
+//! the nonzero taps in canonical `(dk, di, dj)` ascending order, so
+//! every dispatch path agrees bit-for-bit within one element type.
 //!
-//! The `f64` AVX2 path register-blocks *two output rows × eight columns*
-//! per step whenever the flattened `(k, i)` walk has two rows left in
-//! the same plane (the same register-blocking the 2-D kernel uses, so
-//! each input row vector is loaded once and reused by every tap of both
-//! rows that touches it); odd trailing rows and plane seams fall back
-//! to the single-row kernel. Other (instance × dtype) combinations use
-//! the [`TileKernel::execute3`] scalar-chain default — bit-identical,
-//! just unvectorized (DESIGN.md §12 records the gap). Input rows are
-//! walked grouped by `(dk, di)` so each pencil of loads stays within
-//! one cache line run.
-//!
-//! [`TileKernel::execute3`]: super::kernel::TileKernel::execute3
+//! A 3-D sweep runs the *same* two canonical bodies as a 2-D one, over
+//! the same [`Chain`] table shape: every canonical instance (AVX2 and
+//! AVX-512, `f64` and `f32`) register-blocks *two output rows* per step
+//! whenever the flattened `(k, i)` walk has two rows left in the same
+//! plane, and odd trailing rows and plane seams take the single-row
+//! body. Input rows are walked grouped by `(dk, di)` so each pencil of
+//! loads stays within one cache line run. 3-D sweeps issue no software
+//! prefetch.
 
-use super::kernel::{NativeElement, TileKernel};
-use super::kernel2d::merge_pair_rows;
+use super::kernel::{Avx2Tile, Avx512Tile, NativeElement, ScalarTile, TileKernel};
+use super::kernel2d::Chain;
 use super::tile;
 use super::Dispatch;
 use crate::element::Element;
 use crate::stencil::StencilSpec;
 
-/// One input row's taps: `(dk, di, [(dj, c)...])` in canonical order.
-pub(crate) type TapRow<E> = (isize, isize, Vec<(isize, E)>);
-
-/// `(dk, e, merged)` input-row entry for a fused output row pair; see
-/// [`Taps3::pairs`].
-pub(crate) type PairTapRow<E> = (isize, isize, Vec<(isize, E, E)>);
-
-/// Preprocessed nonzero taps of a 3-D stencil, with coefficients
-/// narrowed to the kernel's element type (nonzero-ness is decided on
-/// the `f64` master value, so the tap *structure* is dtype-invariant).
+/// Preprocessed nonzero taps of a 3-D stencil.
 pub struct Taps3<E: Element> {
-    /// Canonical `(dk, di, dj, c)` chain — the bit-exactness contract.
-    pub(crate) flat: Vec<(isize, isize, isize, E)>,
-    /// Taps grouped by input row in canonical order (rows with no
-    /// nonzero taps omitted).
-    pub(crate) rows: Vec<TapRow<E>>,
-    /// Taps grouped by input row for an output row *pair* `(k, i)`,
-    /// `(k, i+1)` within one plane: entry `(dk, e, merged)` covers input
-    /// row `(k + dk, i + e)` with `e` in `-r ..= r+1`; `merged` lists
-    /// `(dj, c_row_i, c_row_i1)` ascending by `dj` (zero coefficient =
-    /// tap does not touch that output row). `dk`-major so walking the
-    /// list applies taps in canonical order for both rows.
-    pub(crate) pairs: Vec<PairTapRow<E>>,
+    /// The canonical chain over planes `dk in -r ..= r`.
+    pub(crate) chain: Chain<E>,
 }
 
 impl<E: Element> Taps3<E> {
     pub(crate) fn new(spec: &StencilSpec) -> Taps3<E> {
         assert_eq!(spec.dims(), 3);
         let r = spec.radius() as isize;
-        let n = (2 * r + 1) as usize;
-        let mut flat = Vec::new();
-        let mut rows: Vec<TapRow<E>> = Vec::new();
-        let mut singles = vec![Vec::new(); n * n];
-        for dk in -r..=r {
-            for di in -r..=r {
-                let mut row = Vec::new();
-                for dj in -r..=r {
-                    let c = spec.c3(dk, di, dj);
-                    if c != 0.0 {
-                        flat.push((dk, di, dj, E::from_f64(c)));
-                        row.push((dj, E::from_f64(c)));
-                    }
-                }
-                singles[((dk + r) * (2 * r + 1) + (di + r)) as usize] = row.clone();
-                if !row.is_empty() {
-                    rows.push((dk, di, row));
-                }
-            }
+        Taps3 {
+            chain: Chain::new(r, -r..=r, |dk, di, dj| spec.c3(dk, di, dj)),
         }
-        let single = |dk: isize, di: isize| -> &[(isize, E)] {
-            if di < -r || di > r {
-                &[]
-            } else {
-                &singles[((dk + r) * (2 * r + 1) + (di + r)) as usize]
-            }
-        };
-        // Output row i sees input row i+e as tap di = e; output row i+1
-        // sees it as di = e-1 — same merge as the 2-D pair table, once
-        // per dk plane.
-        let mut pairs = Vec::new();
-        for dk in -r..=r {
-            for e in -r..=(r + 1) {
-                let merged = merge_pair_rows(single(dk, e), single(dk, e - 1));
-                if !merged.is_empty() {
-                    pairs.push((dk, e, merged));
-                }
-            }
-        }
-        Taps3 { flat, rows, pairs }
     }
 
     /// Rows resident while one column tile streams (all input rows the
     /// chain touches plus the output row).
     pub(crate) fn rows_in_flight(&self) -> usize {
-        self.rows.len() + 1
-    }
-}
-
-/// The canonical scalar chain for one element; also the SIMD tail path.
-#[inline]
-fn scalar_point<E: Element>(
-    flat: &[(isize, isize, isize, E)],
-    a: &[E],
-    base: isize,
-    plane_stride: isize,
-    stride: isize,
-) -> E {
-    let mut acc = E::ZERO;
-    for &(dk, di, dj, c) in flat {
-        acc = c.mul_add(
-            a[(base + dk * plane_stride + di * stride + dj) as usize],
-            acc,
-        );
-    }
-    acc
-}
-
-/// Scalar sweep of one row segment — the [`TileKernel::execute3`]
-/// default body.
-///
-/// [`TileKernel::execute3`]: super::kernel::TileKernel::execute3
-pub(crate) fn scalar_row3<E: Element>(
-    taps: &Taps3<E>,
-    a: &[E],
-    base: isize,
-    plane_stride: isize,
-    stride: isize,
-    dst: &mut [E],
-) {
-    for (jj, d) in dst.iter_mut().enumerate() {
-        *d = scalar_point(&taps.flat, a, base + jj as isize, plane_stride, stride);
+        self.chain.rows.len() + 1
     }
 }
 
@@ -157,47 +61,31 @@ pub(crate) fn sweep_band_3d<E: NativeElement>(
     t_lo: usize,
     t_hi: usize,
 ) {
-    match dispatch {
-        Dispatch::Scalar => drive3::<E, E::KScalar>(
-            taps,
-            a,
-            a_org,
-            a_plane_stride,
-            a_stride,
-            h,
-            w,
-            dst,
-            b_plane_stride,
-            b_stride,
-            t_lo,
-            t_hi,
-        ),
-        Dispatch::Avx2Fma => drive3::<E, E::KAvx2>(
-            taps,
-            a,
-            a_org,
-            a_plane_stride,
-            a_stride,
-            h,
-            w,
-            dst,
-            b_plane_stride,
-            b_stride,
-            t_lo,
-            t_hi,
-        ),
-        // The hybrid register tile, the AVX-512 instance and the
-        // temporally-vectorized family are 2-D only, and the reuse
-        // variants are aliases; the 3-D entry points narrow them all
-        // away before the kernel.
-        Dispatch::Hybrid
-        | Dispatch::Avx512
-        | Dispatch::Avx2Reuse
-        | Dispatch::Avx512Reuse
-        | Dispatch::TempVec => {
-            unreachable!("Dispatch::narrow_3d maps 2-D-only dispatches before kernel3d")
+    let drive = match dispatch {
+        Dispatch::Scalar => drive3::<E, ScalarTile>,
+        Dispatch::Avx2Fma => drive3::<E, Avx2Tile>,
+        Dispatch::Avx512 => drive3::<E, Avx512Tile>,
+        // The hybrid register tile and the temporally-vectorized family
+        // are 2-D only, and the reuse variants are aliases; the 3-D
+        // entry points narrow them all away before the kernel.
+        Dispatch::Hybrid | Dispatch::Avx2Reuse | Dispatch::Avx512Reuse | Dispatch::TempVec => {
+            unreachable!("Dispatch::narrow_3d maps non-canonical dispatches before kernel3d")
         }
-    }
+    };
+    drive(
+        taps,
+        a,
+        a_org,
+        a_plane_stride,
+        a_stride,
+        h,
+        w,
+        dst,
+        b_plane_stride,
+        b_stride,
+        t_lo,
+        t_hi,
+    );
 }
 
 /// The 3-D band walk for one trait instance: column tiles sized by
@@ -274,144 +162,6 @@ fn drive3<E: Element, K: TileKernel<E>>(
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod avx2 {
-    use super::{scalar_point, Taps3};
-    use std::arch::x86_64::*;
-
-    /// Two output rows `(k, i)`, `(k, i+1)` of one plane, eight columns
-    /// per step (four 4-lane accumulators live across the whole tap
-    /// chain). `base` is the flat index of `(k, i, j0)`; `dst0`/`dst1`
-    /// are the two output row segments (equal length).
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 + FMA support.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn row_pair(
-        taps: &Taps3<f64>,
-        a: &[f64],
-        base: isize,
-        plane_stride: isize,
-        stride: isize,
-        dst0: &mut [f64],
-        dst1: &mut [f64],
-    ) {
-        debug_assert_eq!(dst0.len(), dst1.len());
-        let jw = dst0.len();
-        let ap = a.as_ptr();
-        let mut j = 0usize;
-        while j + 8 <= jw {
-            let mut acc00 = _mm256_setzero_pd();
-            let mut acc01 = _mm256_setzero_pd();
-            let mut acc10 = _mm256_setzero_pd();
-            let mut acc11 = _mm256_setzero_pd();
-            for &(dk, e, ref row_taps) in &taps.pairs {
-                let row_base = base + dk * plane_stride + e * stride + j as isize;
-                for &(dj, c0, c1) in row_taps {
-                    let ptr = ap.offset(row_base + dj);
-                    let v0 = _mm256_loadu_pd(ptr);
-                    let v1 = _mm256_loadu_pd(ptr.add(4));
-                    if c0 != 0.0 {
-                        let cv = _mm256_set1_pd(c0);
-                        acc00 = _mm256_fmadd_pd(cv, v0, acc00);
-                        acc01 = _mm256_fmadd_pd(cv, v1, acc01);
-                    }
-                    if c1 != 0.0 {
-                        let cv = _mm256_set1_pd(c1);
-                        acc10 = _mm256_fmadd_pd(cv, v0, acc10);
-                        acc11 = _mm256_fmadd_pd(cv, v1, acc11);
-                    }
-                }
-            }
-            _mm256_storeu_pd(dst0.as_mut_ptr().add(j), acc00);
-            _mm256_storeu_pd(dst0.as_mut_ptr().add(j + 4), acc01);
-            _mm256_storeu_pd(dst1.as_mut_ptr().add(j), acc10);
-            _mm256_storeu_pd(dst1.as_mut_ptr().add(j + 4), acc11);
-            j += 8;
-        }
-        while j + 4 <= jw {
-            let mut acc0 = _mm256_setzero_pd();
-            let mut acc1 = _mm256_setzero_pd();
-            for &(dk, e, ref row_taps) in &taps.pairs {
-                let row_base = base + dk * plane_stride + e * stride + j as isize;
-                for &(dj, c0, c1) in row_taps {
-                    let v = _mm256_loadu_pd(ap.offset(row_base + dj));
-                    if c0 != 0.0 {
-                        acc0 = _mm256_fmadd_pd(_mm256_set1_pd(c0), v, acc0);
-                    }
-                    if c1 != 0.0 {
-                        acc1 = _mm256_fmadd_pd(_mm256_set1_pd(c1), v, acc1);
-                    }
-                }
-            }
-            _mm256_storeu_pd(dst0.as_mut_ptr().add(j), acc0);
-            _mm256_storeu_pd(dst1.as_mut_ptr().add(j), acc1);
-            j += 4;
-        }
-        while j < jw {
-            dst0[j] = scalar_point(&taps.flat, a, base + j as isize, plane_stride, stride);
-            dst1[j] = scalar_point(
-                &taps.flat,
-                a,
-                base + stride + j as isize,
-                plane_stride,
-                stride,
-            );
-            j += 1;
-        }
-    }
-
-    /// One output row, eight columns per step.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 + FMA support.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn row_single(
-        taps: &Taps3<f64>,
-        a: &[f64],
-        base: isize,
-        plane_stride: isize,
-        stride: isize,
-        dst: &mut [f64],
-    ) {
-        let jw = dst.len();
-        let ap = a.as_ptr();
-        let mut j = 0usize;
-        while j + 8 <= jw {
-            let mut acc0 = _mm256_setzero_pd();
-            let mut acc1 = _mm256_setzero_pd();
-            for &(dk, di, ref row_taps) in &taps.rows {
-                let row_base = base + dk * plane_stride + di * stride + j as isize;
-                for &(dj, c) in row_taps {
-                    let ptr = ap.offset(row_base + dj);
-                    let cv = _mm256_set1_pd(c);
-                    acc0 = _mm256_fmadd_pd(cv, _mm256_loadu_pd(ptr), acc0);
-                    acc1 = _mm256_fmadd_pd(cv, _mm256_loadu_pd(ptr.add(4)), acc1);
-                }
-            }
-            _mm256_storeu_pd(dst.as_mut_ptr().add(j), acc0);
-            _mm256_storeu_pd(dst.as_mut_ptr().add(j + 4), acc1);
-            j += 8;
-        }
-        while j + 4 <= jw {
-            let mut acc = _mm256_setzero_pd();
-            for &(dk, di, ref row_taps) in &taps.rows {
-                let row_base = base + dk * plane_stride + di * stride + j as isize;
-                for &(dj, c) in row_taps {
-                    let v = _mm256_loadu_pd(ap.offset(row_base + dj));
-                    acc = _mm256_fmadd_pd(_mm256_set1_pd(c), v, acc);
-                }
-            }
-            _mm256_storeu_pd(dst.as_mut_ptr().add(j), acc);
-            j += 4;
-        }
-        while j < jw {
-            dst[j] = scalar_point(&taps.flat, a, base + j as isize, plane_stride, stride);
-            j += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,7 +170,7 @@ mod tests {
     #[test]
     fn flat_taps_match_point_counts_and_order() {
         for spec in presets::suite_3d() {
-            let taps = Taps3::<f64>::new(&spec);
+            let taps = Taps3::<f64>::new(&spec).chain;
             assert_eq!(taps.flat.len(), spec.points(), "{}", spec.name());
             let mut sorted = taps.flat.clone();
             sorted.sort_by_key(|&(dk, di, dj, _)| (dk, di, dj));
@@ -436,7 +186,7 @@ mod tests {
         // for output row i (via c0) AND for row i+1 (via c1) — that is
         // the whole bit-identity argument for the 3-D pair kernel.
         for spec in presets::suite_3d() {
-            let taps = Taps3::<f64>::new(&spec);
+            let taps = Taps3::<f64>::new(&spec).chain;
             let mut row0 = Vec::new();
             let mut row1 = Vec::new();
             for &(dk, e, ref merged) in &taps.pairs {

@@ -9,9 +9,13 @@
 //!    sweep.
 //! 2. **Runtime-dispatched micro-kernels** — on x86-64 with AVX2 + FMA
 //!    (checked once via `is_x86_feature_detected!`) a register-blocked
-//!    `std::arch` path processes two output rows × eight columns per
-//!    step; everywhere else a `mul_add` scalar fallback runs the
-//!    *same* FMA chain, so both [`Dispatch`] paths are bit-identical.
+//!    `std::arch` path processes two output rows × two registers of
+//!    columns per step; everywhere else a `mul_add` scalar fallback runs
+//!    the *same* FMA chain, so every canonical [`Dispatch`] path is
+//!    bit-identical. Each SIMD schedule is written once, generic over a
+//!    private lane trait (`lane`), and reached through one
+//!    `#[target_feature]` shim per ISA, so 2-D and 3-D sweeps at every
+//!    ISA and dtype run the same two canonical bodies.
 //! 3. **Cache-blocked sweep tiling** — bands are walked in column tiles
 //!    sized to keep the in-flight rows cache-resident on out-of-cache
 //!    grids.
@@ -19,10 +23,10 @@
 //!    [`time_steps`] fuses `t_block` time steps per DRAM round-trip
 //!    through a skewed per-band pipeline, bit-identical to repeated
 //!    [`apply_2d`] calls.
-//! 5. **Software prefetch** ([`prefetch`]) — the AVX2 kernels hint the
-//!    next input rows and the destination store stream (the paper's
-//!    Algorithm 3 analogue); tunable via `HSTENCIL_PREFETCH`, never on
-//!    the scalar path.
+//! 5. **Software prefetch** ([`prefetch`]) — the 2-D SIMD kernels hint
+//!    the next input rows and the destination store stream (the paper's
+//!    Algorithm 3 analogue) at fixed distances, never on the scalar
+//!    path.
 //! 6. **Hybrid 8×8 register-tile kernel** (`hybrid`, DESIGN.md §10) —
 //!    [`Dispatch::Hybrid`] keeps a full 8×8 output tile in sixteen ymm
 //!    accumulators, interleaving broadcast-FMA rank-1 updates (vertical
@@ -39,7 +43,7 @@
 //! 8. **Multi-core scaling as a first-class axis** (DESIGN.md §11) —
 //!    band splits are balanced ([`lane_span`]: lane loads differ by at
 //!    most one row, never an idle lane), the hybrid kernel's NT-store
-//!    choice is lane-aware (`HSTENCIL_NT`, `hybrid`), and
+//!    choice is lane-aware (`hybrid`), and
 //!    `HSTENCIL_THREADS` ([`threads`]) pins the lane count of every
 //!    auto entry point. Thread count can never change results — every
 //!    kernel is invariant to band decomposition.
@@ -51,12 +55,13 @@
 //!    [`Dispatch::Avx512`] is runtime-detected and deliberately kept
 //!    *out* of the auto heuristics (recorded plans and goldens stay
 //!    byte-stable); it is reachable via [`Dispatch::candidates`], the
-//!    `HSTENCIL_KERNEL`/`HSTENCIL_DISPATCH` pins, the conformance
-//!    registry and the bench harness.
+//!    `HSTENCIL_DISPATCH` pin, the conformance registry and the bench
+//!    harness.
 //! 10. **One kernel table** — every kernel [`Dispatch`] can run is one
-//!     row of a static table (label, env spellings, required ISA, 3-D
-//!     body, canonical chain); [`Dispatch::label`], the env parsers,
-//!     [`Dispatch::candidates`] and the 3-D narrowing all read it. The
+//!     row of a static table (label, env spellings, required ISA,
+//!     canonical chain — which also decides a 3-D body);
+//!     [`Dispatch::label`], the env parsers, [`Dispatch::candidates`]
+//!     and the 3-D narrowing all read it. The
 //!     standalone shifted-register reuse kernels (the paper's §3.2 EXT
 //!     idiom on x86) were retired because they measured slower than
 //!     the shifted-load kernels (DESIGN.md §14); the hybrid kernel keeps
@@ -65,8 +70,7 @@
 //!     AVX-512 kernels, with no row of their own.
 //!
 //! Dispatch is size-aware ([`Dispatch::for_width`]) and can be pinned
-//! with `HSTENCIL_DISPATCH=scalar|avx2|avx512|hybrid|tempvec` (or the
-//! instance-named `HSTENCIL_KERNEL`, which takes precedence) — the
+//! with `HSTENCIL_DISPATCH=scalar|avx2|avx512|hybrid|tempvec` — the
 //! canonical-chain paths stay bit-identical either way, the override
 //! only changes speed.
 //!
@@ -91,6 +95,8 @@ mod env;
 mod hybrid;
 mod kernel2d;
 mod kernel3d;
+#[cfg(target_arch = "x86_64")]
+mod lane;
 mod tile;
 
 pub use kernel::{NativeElement, TileKernel};
@@ -123,8 +129,8 @@ pub enum Dispatch {
     /// ([`Dispatch::detect`] / [`Dispatch::for_width`] /
     /// [`Dispatch::for_sweep`]) so recorded tune plans, goldens and
     /// bench baselines stay byte-stable across hosts; pin it via
-    /// `HSTENCIL_KERNEL=avx512` or select it explicitly. 2-D only for
-    /// now (3-D narrows to [`Dispatch::detect`]).
+    /// `HSTENCIL_DISPATCH=avx512` or select it explicitly. Runs 2-D and
+    /// 3-D sweeps.
     Avx512,
     /// Hybrid 8×8 register-tile schedule (Algorithm 2: rank-1 vertical
     /// updates + inner MLA + in-place fold + store scattering). 2-D
@@ -149,7 +155,7 @@ pub enum Dispatch {
     /// the host carries; all bodies agree bit-for-bit with each
     /// other). Reassociated relative to the canonical chain, so
     /// ULP-bounded like [`Dispatch::Hybrid`] — opt-in via the tuner or
-    /// `HSTENCIL_KERNEL=tempvec`, never an auto pick. 2-D only (3-D
+    /// `HSTENCIL_DISPATCH=tempvec`, never an auto pick. 2-D only (3-D
     /// narrows to [`Dispatch::detect`]).
     TempVec,
 }
@@ -189,16 +195,15 @@ struct KernelRow {
     dispatch: Dispatch,
     /// Stable label for reports, tune plans and `BENCH_native.json`.
     label: &'static str,
-    /// `HSTENCIL_KERNEL` / `HSTENCIL_DISPATCH` spellings (lowercase;
-    /// the first is the one the malformed-pin warning lists, and the
-    /// label is always among them).
+    /// `HSTENCIL_DISPATCH` spellings (lowercase; the first is the one
+    /// the malformed-pin warning lists, and the label is always among
+    /// them).
     spellings: &'static [&'static str],
     isa: Isa,
-    /// False for 2-D-only kernels, which 3-D sweeps narrow to
-    /// [`Dispatch::detect`].
-    has_3d: bool,
     /// True for the canonical-chain kernels that agree bit-for-bit with
-    /// the scalar chain (the [`Dispatch::candidates`] set).
+    /// the scalar chain (the [`Dispatch::candidates`] set). Exactly
+    /// these have a 3-D body; 3-D sweeps narrow the others to
+    /// [`Dispatch::detect`].
     canonical: bool,
 }
 
@@ -211,7 +216,6 @@ const KERNELS: [KernelRow; 5] = [
         label: "scalar",
         spellings: &["scalar"],
         isa: Isa::Any,
-        has_3d: true,
         canonical: true,
     },
     KernelRow {
@@ -219,7 +223,6 @@ const KERNELS: [KernelRow; 5] = [
         label: "avx2+fma",
         spellings: &["avx2", "avx2+fma"],
         isa: Isa::Avx2Fma,
-        has_3d: true,
         canonical: true,
     },
     KernelRow {
@@ -227,7 +230,6 @@ const KERNELS: [KernelRow; 5] = [
         label: "avx512",
         spellings: &["avx512", "avx512f"],
         isa: Isa::Avx512F,
-        has_3d: false,
         canonical: true,
     },
     KernelRow {
@@ -236,7 +238,6 @@ const KERNELS: [KernelRow; 5] = [
         spellings: &["hybrid", "hybrid8x8"],
         // Bit-identical scalar fallback, so the pin runs everywhere.
         isa: Isa::Any,
-        has_3d: false,
         canonical: false,
     },
     KernelRow {
@@ -245,7 +246,6 @@ const KERNELS: [KernelRow; 5] = [
         spellings: &["tempvec"],
         // Like hybrid, tempvec has a bit-identical scalar body.
         isa: Isa::Any,
-        has_3d: false,
         canonical: false,
     },
 ];
@@ -325,13 +325,12 @@ impl Dispatch {
         self.row().label
     }
 
-    /// Parses an `HSTENCIL_DISPATCH` / `HSTENCIL_KERNEL` value: any
-    /// kernel-table spelling (`scalar`, `avx2`, `avx512`, `hybrid`,
-    /// `tempvec`, or a label) pins the path, `auto` (or empty) keeps
-    /// the size-aware heuristic. Pinning an ISA path on a machine
-    /// without the ISA is ignored rather than deferred to a later
-    /// kernel panic (`hybrid` and `tempvec` are fine everywhere — they
-    /// have scalar fallbacks).
+    /// Parses an `HSTENCIL_DISPATCH` value: any kernel-table spelling
+    /// (`scalar`, `avx2`, `avx512`, `hybrid`, `tempvec`, or a label)
+    /// pins the path, `auto` (or empty) keeps the size-aware heuristic.
+    /// Pinning an ISA path on a machine without the ISA is ignored
+    /// rather than deferred to a later kernel panic (`hybrid` and
+    /// `tempvec` are fine everywhere — they have scalar fallbacks).
     pub fn from_env_str(v: &str) -> Option<Dispatch> {
         row_spelled(&v.trim().to_ascii_lowercase())
             .filter(|k| k.isa.available())
@@ -343,13 +342,6 @@ impl Dispatch {
     /// "keep the heuristic" forms — so a typo in `HSTENCIL_DISPATCH`
     /// names itself on stderr instead of silently running the default.
     pub fn from_env_str_warn(v: &str) -> (Option<Dispatch>, Option<String>) {
-        Dispatch::pin_from_env_warn("HSTENCIL_DISPATCH", v)
-    }
-
-    /// [`Dispatch::from_env_str_warn`] with the knob name
-    /// parameterized, so `HSTENCIL_KERNEL` (the trait-instance pin) and
-    /// `HSTENCIL_DISPATCH` share one parser and one warning format.
-    pub fn pin_from_env_warn(var: &str, v: &str) -> (Option<Dispatch>, Option<String>) {
         let parsed = Dispatch::from_env_str(v);
         if parsed.is_some() {
             return (parsed, None);
@@ -360,13 +352,13 @@ impl Dispatch {
         }
         let warn = match row_spelled(&key) {
             Some(k) => format!(
-                "hstencil: {var}={v:?} requests {}; using the size-aware heuristic",
+                "hstencil: HSTENCIL_DISPATCH={v:?} requests {}; using the size-aware heuristic",
                 k.isa.request()
             ),
             None => {
                 let expected: Vec<&str> = KERNELS.iter().map(|k| k.spellings[0]).collect();
                 format!(
-                    "hstencil: ignoring malformed {var}={v:?} (expected {}|auto); \
+                    "hstencil: ignoring malformed HSTENCIL_DISPATCH={v:?} (expected {}|auto); \
                      using the size-aware heuristic",
                     expected.join("|")
                 )
@@ -375,18 +367,9 @@ impl Dispatch {
         (None, Some(warn))
     }
 
-    /// The process-wide kernel pin: `HSTENCIL_KERNEL` (the
-    /// trait-instance spelling) takes precedence over
-    /// `HSTENCIL_DISPATCH`; both are read once through
-    /// [`env::cached`] and warn once on malformed values.
+    /// The process-wide `HSTENCIL_DISPATCH` pin, read once through
+    /// [`env::cached`] (malformed values warn once).
     fn env_override() -> Option<Dispatch> {
-        static KERNEL_PIN: OnceLock<Option<Dispatch>> = OnceLock::new();
-        let pin = env::cached(&KERNEL_PIN, "HSTENCIL_KERNEL", |v| {
-            Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", v.unwrap_or(""))
-        });
-        if pin.is_some() {
-            return pin;
-        }
         static OVERRIDE: OnceLock<Option<Dispatch>> = OnceLock::new();
         env::cached(&OVERRIDE, "HSTENCIL_DISPATCH", |v| {
             Dispatch::from_env_str_warn(v.unwrap_or(""))
@@ -416,7 +399,7 @@ impl Dispatch {
     /// `dtype` elements split across `threads` lanes, in precedence
     /// order:
     ///
-    /// 1. the `HSTENCIL_KERNEL` / `HSTENCIL_DISPATCH` env pin,
+    /// 1. the `HSTENCIL_DISPATCH` env pin,
     /// 2. the autotuner's cached plan for this (pattern, radius,
     ///    shape-class, dtype, thread-count) key ([`tune::plan_for`]) —
     ///    a dispatch tuned single-threaded never silently governs a
@@ -463,13 +446,14 @@ impl Dispatch {
         Dispatch::for_sweep_dtype(spec, h, w, threads, Dtype::F64)
     }
 
-    /// Maps dispatches to a kernel with a 3-D body: 2-D-only kernels
-    /// (hybrid, AVX-512, tempvec) fall back to the best canonical
+    /// Maps dispatches to a kernel with a 3-D body: the non-canonical
+    /// kernels (hybrid, tempvec) fall back to the best canonical
     /// kernel, and aliases resolve to their target. The 3-D entry
-    /// points apply this, keeping [`kernel3d`]'s dispatch match two-way.
+    /// points apply this, keeping [`kernel3d`]'s dispatch match to the
+    /// canonical kernels.
     fn narrow_3d(self) -> Dispatch {
         let row = self.row();
-        if row.has_3d {
+        if row.canonical {
             row.dispatch
         } else {
             Dispatch::detect()
@@ -659,6 +643,10 @@ pub fn try_apply_3d_with<E: NativeElement>(
 
 /// One single-threaded 3-D sweep on an explicit dispatch path (2-D-only
 /// dispatches are narrowed via `Dispatch::narrow_3d`).
+///
+/// # Panics
+/// Panics on shape/halo mismatch or if an ISA-specific dispatch is
+/// forced on a machine without that ISA.
 pub fn apply_3d_with<E: NativeElement>(
     dispatch: Dispatch,
     spec: &StencilSpec,
@@ -977,22 +965,22 @@ mod tests {
     }
 
     #[test]
-    fn avx512_narrows_to_a_canonical_3d_kernel() {
-        // A 3-D sweep forced onto the 2-D-only AVX-512 dispatch must
-        // narrow instead of hitting kernel3d's unreachable arm — and
-        // stay bit-identical to scalar (it narrows to a canonical
-        // chain).
+    fn three_d_sweeps_narrow_non_canonical_dispatches() {
+        // A 3-D sweep forced onto a 2-D-only dispatch (or an alias) must
+        // narrow instead of hitting kernel3d's unreachable arm, and
+        // AVX-512 runs its own 3-D body — all bit-identical to scalar.
         let spec = presets::star3d7p();
         let a = random_grid_3d(5, 9, 13, 1, 23);
         let mut scalar = Grid3d::zeros(5, 9, 13, 1);
         apply_3d_with(Dispatch::Scalar, &spec, &a, &mut scalar);
-        for d in [
-            Dispatch::Avx512,
-            Dispatch::Hybrid,
-            Dispatch::Avx2Reuse,
-            Dispatch::Avx512Reuse,
-            Dispatch::TempVec,
-        ] {
+        let mut forced = vec![Dispatch::Hybrid, Dispatch::TempVec];
+        if Dispatch::avx2_available() {
+            forced.push(Dispatch::Avx2Reuse);
+        }
+        if Dispatch::avx512_available() {
+            forced.extend([Dispatch::Avx512, Dispatch::Avx512Reuse]);
+        }
+        for d in forced {
             let mut got = Grid3d::zeros(5, 9, 13, 1);
             apply_3d_with(d, &spec, &a, &mut got);
             assert_eq!(scalar.max_interior_diff(&got), 0.0, "{d:?}");
@@ -1234,43 +1222,6 @@ mod tests {
             assert_eq!(p, None);
             assert!(w.unwrap().contains("avx512f"));
         }
-    }
-
-    #[test]
-    fn kernel_pin_parser_names_its_own_knob() {
-        // HSTENCIL_KERNEL shares the dispatch parser but must warn
-        // under its own name, so a typo in either knob is attributable.
-        assert_eq!(
-            Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", "scalar"),
-            (Some(Dispatch::Scalar), None)
-        );
-        assert_eq!(
-            Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", "hybrid8x8").0,
-            Some(Dispatch::Hybrid)
-        );
-        let (p, w) = Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", "b?gus");
-        assert_eq!(p, None);
-        let w = w.expect("malformed pin must warn");
-        assert!(w.contains("HSTENCIL_KERNEL"), "{w}");
-        assert!(w.contains("b?gus"), "{w}");
-        // Silence contract: unset-equivalent spellings stay quiet.
-        assert_eq!(
-            Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", ""),
-            (None, None)
-        );
-        assert_eq!(
-            Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", "auto"),
-            (None, None)
-        );
-        // ISA pins resolve exactly like HSTENCIL_DISPATCH.
-        assert_eq!(
-            Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", "avx512").0,
-            Dispatch::from_env_str("avx512")
-        );
-        assert_eq!(
-            Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", "tempvec").0,
-            Some(Dispatch::TempVec)
-        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Software-prefetch tuning for the AVX2 micro-kernels.
+//! Software-prefetch distances for the canonical SIMD micro-kernels.
 //!
 //! The paper's Algorithm 3 (§3.3) issues spatial prefetches for the
 //! *next input row* and the *destination store row* while the current
@@ -12,18 +12,14 @@
 //! Prefetch is a *hint* — `_mm_prefetch` never faults and never changes
 //! architectural state (the machine-model counterpart is pinned by
 //! `crates/machine/tests/prefetch_transparency.rs`) — so it cannot
-//! affect results. It is still wired **only** into the AVX2 dispatch
-//! path: the scalar fallback stays a pure `mul_add` chain with no
-//! `std::arch` calls at all, keeping the bit-identity contract between
-//! the two paths trivially auditable.
-//!
-//! Tuning: `HSTENCIL_PREFETCH=off` (or `0`) disables both streams;
-//! `HSTENCIL_PREFETCH=<rows>` moves the input prefetch distance. The
-//! variable is read once per process.
+//! affect results. It is still wired **only** into the 2-D SIMD sweeps
+//! (the AVX2 and AVX-512 canonical bodies and the hybrid tile, at
+//! [`Prefetch::DEFAULT`]): the scalar fallback stays a pure `mul_add`
+//! chain with no `std::arch` calls at all, keeping the bit-identity
+//! contract between the paths trivially auditable, and 3-D sweeps run
+//! [`Prefetch::OFF`].
 
-use std::sync::OnceLock;
-
-/// Prefetch distances for the AVX2 sweep kernels. `input_rows == 0`
+/// Prefetch distances for the SIMD sweep kernels. `input_rows == 0`
 /// and `dst_cols == 0` mean "emit no prefetch".
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Prefetch {
@@ -38,96 +34,24 @@ pub struct Prefetch {
 }
 
 impl Prefetch {
-    /// Prefetch disabled (what the scalar path always uses).
+    /// Prefetch disabled (what the scalar path and 3-D sweeps use).
     pub const OFF: Prefetch = Prefetch {
         input_rows: 0,
         dst_cols: 0,
     };
 
-    /// Default distances: next two input rows, half a tile of columns
-    /// ahead for the store stream. Chosen on the recorded bench host
-    /// (see `BENCH_native.json`); override with `HSTENCIL_PREFETCH`.
+    /// The distances every 2-D SIMD sweep runs: next two input rows,
+    /// half a tile of columns ahead for the store stream. Chosen on the
+    /// recorded bench host (see `BENCH_native.json`).
     pub const DEFAULT: Prefetch = Prefetch {
         input_rows: 2,
         dst_cols: 64,
     };
-
-    /// Parses an `HSTENCIL_PREFETCH` value. `off`/`0` disable, an
-    /// integer sets the input-row distance, anything else (including
-    /// empty) keeps the default.
-    pub fn from_env_str(v: Option<&str>) -> Prefetch {
-        Prefetch::from_env_str_warn(v).0
-    }
-
-    /// [`Prefetch::from_env_str`] plus a warning for values that parse
-    /// as neither `off` nor a row count — so a typo in
-    /// `HSTENCIL_PREFETCH` names itself on stderr instead of silently
-    /// running the default distances.
-    pub fn from_env_str_warn(v: Option<&str>) -> (Prefetch, Option<String>) {
-        match v.map(str::trim) {
-            Some("off") | Some("OFF") | Some("0") => (Prefetch::OFF, None),
-            Some("") | None => (Prefetch::DEFAULT, None),
-            Some(s) => match s.parse::<usize>() {
-                Ok(rows) => (
-                    Prefetch {
-                        input_rows: rows,
-                        ..Prefetch::DEFAULT
-                    },
-                    None,
-                ),
-                Err(_) => (
-                    Prefetch::DEFAULT,
-                    Some(format!(
-                        "hstencil: ignoring malformed HSTENCIL_PREFETCH={s:?} \
-                         (expected off|0|<input rows>); using default \
-                         input_rows={}, dst_cols={}",
-                        Prefetch::DEFAULT.input_rows,
-                        Prefetch::DEFAULT.dst_cols
-                    )),
-                ),
-            },
-        }
-    }
-
-    /// The process-wide configuration (env read once through
-    /// `super::env::cached`; malformed values warn on stderr once and
-    /// keep the default).
-    pub fn config() -> Prefetch {
-        static CONFIG: OnceLock<Prefetch> = OnceLock::new();
-        super::env::cached(&CONFIG, "HSTENCIL_PREFETCH", Prefetch::from_env_str_warn)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn env_parsing() {
-        assert_eq!(Prefetch::from_env_str(None), Prefetch::DEFAULT);
-        assert_eq!(Prefetch::from_env_str(Some("off")), Prefetch::OFF);
-        assert_eq!(Prefetch::from_env_str(Some("0")), Prefetch::OFF);
-        assert_eq!(Prefetch::from_env_str(Some("3")).input_rows, 3);
-        assert_eq!(
-            Prefetch::from_env_str(Some("3")).dst_cols,
-            Prefetch::DEFAULT.dst_cols
-        );
-        assert_eq!(Prefetch::from_env_str(Some("bogus")), Prefetch::DEFAULT);
-    }
-
-    #[test]
-    fn malformed_values_warn_with_value_and_default() {
-        let (pf, warn) = Prefetch::from_env_str_warn(Some("bogus"));
-        assert_eq!(pf, Prefetch::DEFAULT);
-        let warn = warn.expect("malformed value must produce a warning");
-        assert!(warn.contains("HSTENCIL_PREFETCH"), "{warn}");
-        assert!(warn.contains("\"bogus\""), "names the bad value: {warn}");
-        assert!(warn.contains("input_rows=2"), "names the default: {warn}");
-        // Well-formed and intentionally-empty values stay silent.
-        for ok in [None, Some(""), Some("off"), Some("0"), Some("5")] {
-            assert!(Prefetch::from_env_str_warn(ok).1.is_none(), "{ok:?}");
-        }
-    }
 
     #[test]
     fn off_is_all_zero() {

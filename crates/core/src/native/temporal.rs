@@ -187,7 +187,7 @@ fn tile_pipeline<E: NativeElement>(
     lanes: usize,
 ) {
     debug_assert!(steps >= 2);
-    let r = taps.r;
+    let r = taps.chain.r;
     let (hi, wi) = (h as isize, w as isize);
     let g1 = r * (steps as isize - 1);
     // The tempvec innermost strategy: fully-interior tiles skip the

@@ -34,9 +34,13 @@
 //! Within the family, every body — scalar, AVX2, AVX-512, and the
 //! multi-level wavefront — performs the identical per-lane operation
 //! sequence, so tempvec agrees with itself bit-for-bit across ISAs,
-//! chunk boundaries and fusion depths.
+//! chunk boundaries and fusion depths. The vector row is written once
+//! over the lane trait (`lane::Lane`) and reached through one
+//! `#[target_feature]` shim per ISA, at both dtypes.
 
-use super::kernel2d::Taps2;
+use super::kernel2d::{TapRow, Taps2};
+#[cfg(target_arch = "x86_64")]
+use super::lane::Lane;
 use super::{Dispatch, NativeElement};
 use crate::element::Element;
 use crate::grid::{Grid2dT, GridError};
@@ -131,17 +135,17 @@ pub fn wave_tiles() -> usize {
     WAVE_TILES.load(Ordering::Relaxed)
 }
 
-/// Scalar tempvec row body: `dst[x] = fold of c * srows[d][x + dj + r]`
-/// over two alternating accumulators, `x in x0..n`. `srows[d]` points
-/// at column `j_lo - r` of source row `i + d - r`, `dst` at column
-/// `j_lo` of the output row, where `j_lo` is the row's first output
-/// column.
+/// Scalar tempvec row body: `dst[x]` is the fold of
+/// `c * srows[di + r][x + dj + r]` over two alternating accumulators,
+/// `x in x0..n`. `srows[d]` points at column `j_lo - r` of source row
+/// `i + d - r`, `dst` at column `j_lo` of the output row, where `j_lo`
+/// is the row's first output column.
 ///
 /// # Safety
-/// Every `srows[d] + x + dj + r` for `x in x0..n` and every
+/// Every `srows[di + r] + x + dj + r` for `x in x0..n` and every
 /// `dst + x` must be in bounds.
 pub(crate) unsafe fn wave_row_scalar<E: Element>(
-    single: &[Vec<(isize, E)>],
+    rows: &[TapRow<E>],
     r: isize,
     srows: &[*const E],
     x0: usize,
@@ -152,8 +156,8 @@ pub(crate) unsafe fn wave_row_scalar<E: Element>(
         let mut a0 = E::ZERO;
         let mut a1 = E::ZERO;
         let mut flip = false;
-        for (d, taps) in single.iter().enumerate() {
-            let rp = srows[d];
+        for &(_, di, ref taps) in rows {
+            let rp = srows[(di + r) as usize];
             for &(dj, c) in taps {
                 let v = *rp.add(x + (dj + r) as usize);
                 if flip {
@@ -170,349 +174,153 @@ pub(crate) unsafe fn wave_row_scalar<E: Element>(
     }
 }
 
+/// Cap on the flattened tap tables the vector body keeps on the stack:
+/// the widest vectorized spec is a box at [`MAX_VEC_RADIUS`] = 4,
+/// (2·4+1)² offsets.
 #[cfg(target_arch = "x86_64")]
-mod x86 {
-    use std::arch::x86_64::*;
+const MAX_TAPS: usize = 81;
 
-    /// Cap on the flattened tap tables the vector bodies keep on the
-    /// stack: the widest vectorized spec is a box at
-    /// [`super::MAX_VEC_RADIUS`] = 4, (2·4+1)² offsets.
-    const MAX_TAPS: usize = 81;
-
-    /// AVX2 `f64` tempvec row: operands are offset loads
-    /// `srows[d] + x + k` — bit-identical lanes to the §14 EXT shift
-    /// synthesis (shuffles move IEEE values, reloads re-read them),
-    /// but on x86's dual load ports a reload is cheaper than the
-    /// port-5 shuffle traffic the synthesis costs, the same standalone
-    /// finding §14 records for the retired reuse kernels. Tap pointers and
-    /// broadcast coefficients are flattened once per row, so the hot
-    /// loop carries no nested-list walk, no per-step re-broadcast and
-    /// no runtime-shift dispatch; the main loop retires two output
-    /// vectors per iteration (four independent FMA chains).
-    ///
-    /// # Safety
-    /// AVX2 + FMA verified, `r <= MAX_VEC_RADIUS`, and every
-    /// `srows[d] + x` readable for `x < n_read`, `dst + x` writable
-    /// for `x < n`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn wave_row_avx2_f64(
-        single: &[Vec<(isize, f64)>],
-        r: isize,
-        srows: &[*const f64],
-        n: usize,
-        n_read: usize,
-        dst: *mut f64,
-    ) {
-        let mut tp = [std::ptr::null::<f64>(); MAX_TAPS];
-        let mut tc = [_mm256_setzero_pd(); MAX_TAPS];
-        let mut nt = 0usize;
-        for (d, taps) in single.iter().enumerate() {
-            for &(dj, c) in taps {
-                tp[nt] = srows[d].add((dj + r) as usize);
-                tc[nt] = _mm256_set1_pd(c);
-                nt += 1;
-            }
-        }
-        // Deepest operand slot (2r) plus one vector.
-        let span = 2 * r as usize + 4;
-        let mut x = 0usize;
-        while x + 8 <= n && x + span + 4 <= n_read {
-            let mut a0 = _mm256_setzero_pd();
-            let mut a1 = _mm256_setzero_pd();
-            let mut b0 = _mm256_setzero_pd();
-            let mut b1 = _mm256_setzero_pd();
-            for t in 0..nt {
-                let p = tp[t].add(x);
-                let cv = tc[t];
-                if t % 2 == 0 {
-                    a0 = _mm256_fmadd_pd(cv, _mm256_loadu_pd(p), a0);
-                    b0 = _mm256_fmadd_pd(cv, _mm256_loadu_pd(p.add(4)), b0);
-                } else {
-                    a1 = _mm256_fmadd_pd(cv, _mm256_loadu_pd(p), a1);
-                    b1 = _mm256_fmadd_pd(cv, _mm256_loadu_pd(p.add(4)), b1);
-                }
-            }
-            _mm256_storeu_pd(dst.add(x), _mm256_add_pd(a0, a1));
-            _mm256_storeu_pd(dst.add(x + 4), _mm256_add_pd(b0, b1));
-            x += 8;
-        }
-        while x + 4 <= n && x + span <= n_read {
-            let mut a0 = _mm256_setzero_pd();
-            let mut a1 = _mm256_setzero_pd();
-            for t in 0..nt {
-                let op = _mm256_loadu_pd(tp[t].add(x));
-                if t % 2 == 0 {
-                    a0 = _mm256_fmadd_pd(tc[t], op, a0);
-                } else {
-                    a1 = _mm256_fmadd_pd(tc[t], op, a1);
-                }
-            }
-            _mm256_storeu_pd(dst.add(x), _mm256_add_pd(a0, a1));
-            x += 4;
-        }
-        super::wave_row_scalar(single, r, srows, x, n, dst);
-    }
-
-    /// AVX2 `f32` tempvec row: 8/16 outputs per step, offset-load
-    /// operands as [`wave_row_avx2_f64`].
-    ///
-    /// # Safety
-    /// As [`wave_row_avx2_f64`], at the `f32` widths.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn wave_row_avx2_f32(
-        single: &[Vec<(isize, f32)>],
-        r: isize,
-        srows: &[*const f32],
-        n: usize,
-        n_read: usize,
-        dst: *mut f32,
-    ) {
-        let mut tp = [std::ptr::null::<f32>(); MAX_TAPS];
-        let mut tc = [_mm256_setzero_ps(); MAX_TAPS];
-        let mut nt = 0usize;
-        for (d, taps) in single.iter().enumerate() {
-            for &(dj, c) in taps {
-                tp[nt] = srows[d].add((dj + r) as usize);
-                tc[nt] = _mm256_set1_ps(c);
-                nt += 1;
-            }
-        }
-        let span = 2 * r as usize + 8;
-        let mut x = 0usize;
-        while x + 16 <= n && x + span + 8 <= n_read {
-            let mut a0 = _mm256_setzero_ps();
-            let mut a1 = _mm256_setzero_ps();
-            let mut b0 = _mm256_setzero_ps();
-            let mut b1 = _mm256_setzero_ps();
-            for t in 0..nt {
-                let p = tp[t].add(x);
-                let cv = tc[t];
-                if t % 2 == 0 {
-                    a0 = _mm256_fmadd_ps(cv, _mm256_loadu_ps(p), a0);
-                    b0 = _mm256_fmadd_ps(cv, _mm256_loadu_ps(p.add(8)), b0);
-                } else {
-                    a1 = _mm256_fmadd_ps(cv, _mm256_loadu_ps(p), a1);
-                    b1 = _mm256_fmadd_ps(cv, _mm256_loadu_ps(p.add(8)), b1);
-                }
-            }
-            _mm256_storeu_ps(dst.add(x), _mm256_add_ps(a0, a1));
-            _mm256_storeu_ps(dst.add(x + 8), _mm256_add_ps(b0, b1));
-            x += 16;
-        }
-        while x + 8 <= n && x + span <= n_read {
-            let mut a0 = _mm256_setzero_ps();
-            let mut a1 = _mm256_setzero_ps();
-            for t in 0..nt {
-                let op = _mm256_loadu_ps(tp[t].add(x));
-                if t % 2 == 0 {
-                    a0 = _mm256_fmadd_ps(tc[t], op, a0);
-                } else {
-                    a1 = _mm256_fmadd_ps(tc[t], op, a1);
-                }
-            }
-            _mm256_storeu_ps(dst.add(x), _mm256_add_ps(a0, a1));
-            x += 8;
-        }
-        super::wave_row_scalar(single, r, srows, x, n, dst);
-    }
-
-    /// AVX-512 `f64` tempvec row: 8/16 outputs per step, offset-load
-    /// operands as [`wave_row_avx2_f64`].
-    ///
-    /// # Safety
-    /// AVX-512F verified, `r <= MAX_VEC_RADIUS`, buffer bounds as
-    /// [`wave_row_avx2_f64`].
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn wave_row_avx512_f64(
-        single: &[Vec<(isize, f64)>],
-        r: isize,
-        srows: &[*const f64],
-        n: usize,
-        n_read: usize,
-        dst: *mut f64,
-    ) {
-        let mut tp = [std::ptr::null::<f64>(); MAX_TAPS];
-        let mut tc = [_mm512_setzero_pd(); MAX_TAPS];
-        let mut nt = 0usize;
-        for (d, taps) in single.iter().enumerate() {
-            for &(dj, c) in taps {
-                tp[nt] = srows[d].add((dj + r) as usize);
-                tc[nt] = _mm512_set1_pd(c);
-                nt += 1;
-            }
-        }
-        let span = 2 * r as usize + 8;
-        let mut x = 0usize;
-        while x + 16 <= n && x + span + 8 <= n_read {
-            let mut a0 = _mm512_setzero_pd();
-            let mut a1 = _mm512_setzero_pd();
-            let mut b0 = _mm512_setzero_pd();
-            let mut b1 = _mm512_setzero_pd();
-            for t in 0..nt {
-                let p = tp[t].add(x);
-                let cv = tc[t];
-                if t % 2 == 0 {
-                    a0 = _mm512_fmadd_pd(cv, _mm512_loadu_pd(p), a0);
-                    b0 = _mm512_fmadd_pd(cv, _mm512_loadu_pd(p.add(8)), b0);
-                } else {
-                    a1 = _mm512_fmadd_pd(cv, _mm512_loadu_pd(p), a1);
-                    b1 = _mm512_fmadd_pd(cv, _mm512_loadu_pd(p.add(8)), b1);
-                }
-            }
-            _mm512_storeu_pd(dst.add(x), _mm512_add_pd(a0, a1));
-            _mm512_storeu_pd(dst.add(x + 8), _mm512_add_pd(b0, b1));
-            x += 16;
-        }
-        while x + 8 <= n && x + span <= n_read {
-            let mut a0 = _mm512_setzero_pd();
-            let mut a1 = _mm512_setzero_pd();
-            for t in 0..nt {
-                let op = _mm512_loadu_pd(tp[t].add(x));
-                if t % 2 == 0 {
-                    a0 = _mm512_fmadd_pd(tc[t], op, a0);
-                } else {
-                    a1 = _mm512_fmadd_pd(tc[t], op, a1);
-                }
-            }
-            _mm512_storeu_pd(dst.add(x), _mm512_add_pd(a0, a1));
-            x += 8;
-        }
-        super::wave_row_scalar(single, r, srows, x, n, dst);
-    }
-
-    /// AVX-512 `f32` tempvec row: 16/32 outputs per step, offset-load
-    /// operands as [`wave_row_avx2_f64`].
-    ///
-    /// # Safety
-    /// As [`wave_row_avx512_f64`], at the `f32` widths.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn wave_row_avx512_f32(
-        single: &[Vec<(isize, f32)>],
-        r: isize,
-        srows: &[*const f32],
-        n: usize,
-        n_read: usize,
-        dst: *mut f32,
-    ) {
-        let mut tp = [std::ptr::null::<f32>(); MAX_TAPS];
-        let mut tc = [_mm512_setzero_ps(); MAX_TAPS];
-        let mut nt = 0usize;
-        for (d, taps) in single.iter().enumerate() {
-            for &(dj, c) in taps {
-                tp[nt] = srows[d].add((dj + r) as usize);
-                tc[nt] = _mm512_set1_ps(c);
-                nt += 1;
-            }
-        }
-        let span = 2 * r as usize + 16;
-        let mut x = 0usize;
-        while x + 32 <= n && x + span + 16 <= n_read {
-            let mut a0 = _mm512_setzero_ps();
-            let mut a1 = _mm512_setzero_ps();
-            let mut b0 = _mm512_setzero_ps();
-            let mut b1 = _mm512_setzero_ps();
-            for t in 0..nt {
-                let p = tp[t].add(x);
-                let cv = tc[t];
-                if t % 2 == 0 {
-                    a0 = _mm512_fmadd_ps(cv, _mm512_loadu_ps(p), a0);
-                    b0 = _mm512_fmadd_ps(cv, _mm512_loadu_ps(p.add(16)), b0);
-                } else {
-                    a1 = _mm512_fmadd_ps(cv, _mm512_loadu_ps(p), a1);
-                    b1 = _mm512_fmadd_ps(cv, _mm512_loadu_ps(p.add(16)), b1);
-                }
-            }
-            _mm512_storeu_ps(dst.add(x), _mm512_add_ps(a0, a1));
-            _mm512_storeu_ps(dst.add(x + 16), _mm512_add_ps(b0, b1));
-            x += 32;
-        }
-        while x + 16 <= n && x + span <= n_read {
-            let mut a0 = _mm512_setzero_ps();
-            let mut a1 = _mm512_setzero_ps();
-            for t in 0..nt {
-                let op = _mm512_loadu_ps(tp[t].add(x));
-                if t % 2 == 0 {
-                    a0 = _mm512_fmadd_ps(tc[t], op, a0);
-                } else {
-                    a1 = _mm512_fmadd_ps(tc[t], op, a1);
-                }
-            }
-            _mm512_storeu_ps(dst.add(x), _mm512_add_ps(a0, a1));
-            x += 16;
-        }
-        super::wave_row_scalar(single, r, srows, x, n, dst);
-    }
-}
-
-/// The `f64` body mux behind [`NativeElement::tv_wave_row`].
+/// The vector tempvec row, written once for every register `V`:
+/// operands are offset loads `srows[di + r] + x + dj + r` —
+/// bit-identical lanes to the §14 EXT shift synthesis (shuffles move
+/// IEEE values, reloads re-read them), but on x86's dual load ports a
+/// reload is cheaper than the port-5 shuffle traffic the synthesis
+/// costs, the same standalone finding §14 records for the retired
+/// reuse kernels. Tap pointers and broadcast coefficients are flattened
+/// once per row, so the hot loop carries no nested-list walk, no
+/// per-step re-broadcast and no runtime-shift dispatch; the main loop
+/// retires two output vectors per iteration (four independent FMA
+/// chains), then one vector, then the scalar body finishes the row.
 ///
 /// # Safety
-/// As [`wave_row`]; `isa` must already be the effective body.
-pub(crate) unsafe fn wave_row_f64(
-    isa: TvIsa,
-    single: &[Vec<(isize, f64)>],
+/// The host must run `V`'s ISA, `r <= MAX_VEC_RADIUS`, and every
+/// `srows[d] + x` must be readable for `x < n_read`, `dst + x` writable
+/// for `x < n` (debug builds check the first two and the tap count).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn wave_body<V: Lane>(
+    rows: &[TapRow<V::E>],
     r: isize,
-    srows: &[*const f64],
+    srows: &[*const V::E],
     n: usize,
     n_read: usize,
-    dst: *mut f64,
+    dst: *mut V::E,
 ) {
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = n_read;
-    match isa {
-        TvIsa::Scalar => wave_row_scalar(single, r, srows, 0, n, dst),
-        #[cfg(target_arch = "x86_64")]
-        TvIsa::Avx2 => x86::wave_row_avx2_f64(single, r, srows, n, n_read, dst),
-        #[cfg(target_arch = "x86_64")]
-        TvIsa::Avx512 => x86::wave_row_avx512_f64(single, r, srows, n, n_read, dst),
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => wave_row_scalar(single, r, srows, 0, n, dst),
+    debug_assert!(n <= n_read);
+    debug_assert!(r <= MAX_VEC_RADIUS);
+    debug_assert!(rows.iter().map(|row| row.2.len()).sum::<usize>() <= MAX_TAPS);
+    let vl = V::N;
+    let mut tp = [std::ptr::null::<V::E>(); MAX_TAPS];
+    let mut tc = [V::zero(); MAX_TAPS];
+    let mut nt = 0usize;
+    for &(_, di, ref taps) in rows {
+        for &(dj, c) in taps {
+            tp[nt] = srows[(di + r) as usize].add((dj + r) as usize);
+            tc[nt] = V::splat(c);
+            nt += 1;
+        }
     }
+    // Deepest operand slot (2r) plus one vector.
+    let span = 2 * r as usize + vl;
+    let mut x = 0usize;
+    while x + 2 * vl <= n && x + span + vl <= n_read {
+        let mut a0 = V::zero();
+        let mut a1 = V::zero();
+        let mut b0 = V::zero();
+        let mut b1 = V::zero();
+        for t in 0..nt {
+            let p = tp[t].add(x);
+            let cv = tc[t];
+            if t % 2 == 0 {
+                a0 = V::fma(cv, V::load(p), a0);
+                b0 = V::fma(cv, V::load(p.add(vl)), b0);
+            } else {
+                a1 = V::fma(cv, V::load(p), a1);
+                b1 = V::fma(cv, V::load(p.add(vl)), b1);
+            }
+        }
+        a0.add(a1).store(dst.add(x));
+        b0.add(b1).store(dst.add(x + vl));
+        x += 2 * vl;
+    }
+    while x + vl <= n && x + span <= n_read {
+        let mut a0 = V::zero();
+        let mut a1 = V::zero();
+        for t in 0..nt {
+            let op = V::load(tp[t].add(x));
+            if t % 2 == 0 {
+                a0 = V::fma(tc[t], op, a0);
+            } else {
+                a1 = V::fma(tc[t], op, a1);
+            }
+        }
+        a0.add(a1).store(dst.add(x));
+        x += vl;
+    }
+    wave_row_scalar(rows, r, srows, x, n, dst);
 }
 
-/// The `f32` body mux behind [`NativeElement::tv_wave_row`].
+/// [`wave_body`] compiled for AVX2 + FMA.
 ///
 /// # Safety
-/// As [`wave_row`]; `isa` must already be the effective body.
-pub(crate) unsafe fn wave_row_f32(
-    isa: TvIsa,
-    single: &[Vec<(isize, f32)>],
+/// AVX2 + FMA verified; otherwise as [`wave_body`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn wave_avx2<V: Lane>(
+    rows: &[TapRow<V::E>],
     r: isize,
-    srows: &[*const f32],
+    srows: &[*const V::E],
     n: usize,
     n_read: usize,
-    dst: *mut f32,
+    dst: *mut V::E,
 ) {
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = n_read;
-    match isa {
-        TvIsa::Scalar => wave_row_scalar(single, r, srows, 0, n, dst),
-        #[cfg(target_arch = "x86_64")]
-        TvIsa::Avx2 => x86::wave_row_avx2_f32(single, r, srows, n, n_read, dst),
-        #[cfg(target_arch = "x86_64")]
-        TvIsa::Avx512 => x86::wave_row_avx512_f32(single, r, srows, n, n_read, dst),
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => wave_row_scalar(single, r, srows, 0, n, dst),
-    }
+    wave_body::<V>(rows, r, srows, n, n_read, dst);
 }
 
-/// One tempvec output row via the requested (host-verified) body.
+/// [`wave_body`] compiled for AVX-512F.
+///
+/// # Safety
+/// AVX-512F verified; otherwise as [`wave_body`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn wave_avx512<V: Lane>(
+    rows: &[TapRow<V::E>],
+    r: isize,
+    srows: &[*const V::E],
+    n: usize,
+    n_read: usize,
+    dst: *mut V::E,
+) {
+    wave_body::<V>(rows, r, srows, n, n_read, dst);
+}
+
+/// One tempvec output row via the requested (host-verified) body;
+/// over-cap radii narrow to the scalar body ([`effective`]).
 ///
 /// # Safety
 /// `isa.available()`, every `srows[d] + x` readable for `x < n_read`
-/// with `n + loadspan - VL <= n_read`-style slack handled by the body
-/// guards, and `dst + x` writable for `x < n`.
+/// (`n <= n_read`; the vector bodies keep their loads inside it and
+/// finish through the scalar body), and `dst + x` writable for `x < n`.
 pub(crate) unsafe fn wave_row<E: NativeElement>(
     isa: TvIsa,
-    single: &[Vec<(isize, E)>],
+    rows: &[TapRow<E>],
     r: isize,
     srows: &[*const E],
     n: usize,
     n_read: usize,
     dst: *mut E,
 ) {
-    debug_assert!(n <= n_read);
-    E::tv_wave_row(effective(isa, r), single, r, srows, n, n_read, dst);
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = n_read;
+    match effective(isa, r) {
+        TvIsa::Scalar => wave_row_scalar(rows, r, srows, 0, n, dst),
+        #[cfg(target_arch = "x86_64")]
+        TvIsa::Avx2 => wave_avx2::<E::Ymm>(rows, r, srows, n, n_read, dst),
+        #[cfg(target_arch = "x86_64")]
+        TvIsa::Avx512 => wave_avx512::<E::Zmm>(rows, r, srows, n, n_read, dst),
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => wave_row_scalar(rows, r, srows, 0, n, dst),
+    }
 }
 
 /// Single-sweep tempvec band: the [`Dispatch::TempVec`] arm of
@@ -533,7 +341,7 @@ pub(crate) fn sweep_band<E: NativeElement>(
     i_lo: usize,
     i_hi: usize,
 ) {
-    let r = taps.r;
+    let r = taps.chain.r;
     let nrows = (2 * r + 1) as usize;
     let mut srows: Vec<*const E> = vec![std::ptr::null(); nrows];
     let ap = a.as_ptr();
@@ -544,7 +352,7 @@ pub(crate) fn sweep_band<E: NativeElement>(
             *slot = unsafe { ap.offset(a_org + q * a_stride - r) };
         }
         let drow = dst[(i - i_lo) * b_stride..].as_mut_ptr();
-        unsafe { wave_row::<E>(isa, &taps.single, r, &srows, w, n_read, drow) };
+        unsafe { wave_row::<E>(isa, &taps.chain.rows, r, &srows, w, n_read, drow) };
     }
 }
 
@@ -610,7 +418,7 @@ pub(crate) fn tile_wavefront<E: NativeElement>(
 ) {
     debug_assert!(steps >= 2 && tr1 > tr0 && tc1 > tc0);
     let isa = TvIsa::best();
-    let r = taps.r;
+    let r = taps.chain.r;
     let ru = r as usize;
     let g1 = ru * (steps - 1);
     debug_assert!(tr0 >= g1 && tc0 >= g1 && tc1 + g1 <= w);
@@ -671,7 +479,7 @@ pub(crate) fn tile_wavefront<E: NativeElement>(
             } else {
                 unsafe { ring_row(s, i).add((c0 - ring_org) as usize) }
             };
-            unsafe { wave_row::<E>(isa, &taps.single, r, &srows, n, n_read, dstp) };
+            unsafe { wave_row::<E>(isa, &taps.chain.rows, r, &srows, n, n_read, dstp) };
         }
     }
     WAVE_TILES.fetch_add(1, Ordering::Relaxed);

@@ -6,7 +6,7 @@
 //! only way to run a binary saturated (or pinned single-threaded for a
 //! clean baseline) was to edit and rebuild it. `HSTENCIL_THREADS=<n>`
 //! now pins the lane count process-wide with the same conventions as
-//! `HSTENCIL_PREFETCH` / `HSTENCIL_DISPATCH`:
+//! `HSTENCIL_DISPATCH`:
 //!
 //! * the variable is read **once** per process ([`env_override`]),
 //! * `auto` (or empty/unset) keeps the caller's request,

@@ -119,7 +119,7 @@ fn reuse_aliases_run_their_canonical_targets_and_are_not_pinnable() {
 
     // The retired spellings are malformed pins now, and say so.
     for v in ["reuse", "avx2+reuse", "avx512+reuse"] {
-        let (parsed, warn) = Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", v);
+        let (parsed, warn) = Dispatch::from_env_str_warn(v);
         assert_eq!(parsed, None, "{v}");
         let warn = warn.expect("a retired spelling must warn");
         assert!(warn.contains("malformed"), "{warn}");

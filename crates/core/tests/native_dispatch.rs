@@ -1,20 +1,22 @@
 //! Property suite for the native executor v2: the SIMD and scalar
-//! dispatch paths must produce **bit-identical** grids on every input —
-//! awkward widths below one SIMD vector, widths that are not a multiple
-//! of the lane count, radii 1–4, halos larger than the radius, any
-//! coefficient table, any thread count — and the scalar path must agree
-//! with the `reference` ground truth.
+//! dispatch paths must produce **bit-identical** grids on every input,
+//! at `f64` and at `f32` — awkward widths below one SIMD vector, widths
+//! that are not a multiple of the lane count, radii 1–4, halos larger
+//! than the radius, any coefficient table, any thread count — and the
+//! scalar path must agree with the `reference` ground truth.
 //!
 //! A failure prints a `TESTKIT_SEED=0x...` line that replays the exact
 //! case (see README.md "Reproducing a property-test failure").
 
 use hstencil_core::native::{self, pool::ThreadPool, Dispatch};
-use hstencil_core::{reference, Grid2d, Grid3d, Pattern, StencilSpec};
+use hstencil_core::{reference, Grid2d, Grid2dT, Grid3d, Grid3dT, Pattern, StencilSpec};
 use hstencil_testkit::prop::{self, range, vec_of, Config, Strategy};
 use hstencil_testkit::prop_assert;
 
-/// A generated 2-D case: shape chosen to stress kernel edges (widths
-/// 1..=40 cover sub-vector rows, 4-lane tails and 8-lane unroll tails).
+/// A generated 2-D case: shape chosen to stress kernel edges. Widths
+/// 1..=72 cover sub-vector rows and every step of the widest body:
+/// AVX-512 `f32` retires 32 columns per main-loop step, then one
+/// 16-column register, then the scalar tail.
 #[derive(Clone, Debug)]
 struct Case2d {
     spec: StencilSpec,
@@ -25,7 +27,7 @@ struct Case2d {
 fn case_2d_strategy() -> impl Strategy<Value = Case2d> {
     let dims = (
         range(1usize..25), // h
-        range(1usize..41), // w
+        range(1usize..73), // w
         range(1usize..5),  // radius 1..=4
         range(0usize..3),  // halo slack beyond the radius
         range(1usize..9),  // threads
@@ -81,6 +83,9 @@ fn simd_and_scalar_paths_are_bit_identical_2d() {
         let (h, w, halo) = (case.grid.h(), case.grid.w(), case.grid.halo());
         let mut scalar = Grid2d::zeros(h, w, halo);
         native::apply_2d_with(Dispatch::Scalar, &case.spec, &case.grid, &mut scalar);
+        let grid32 = Grid2dT::<f32>::convert_from(&case.grid);
+        let mut scalar32 = Grid2dT::<f32>::zeros(h, w, halo);
+        native::apply_2d_with(Dispatch::Scalar, &case.spec, &grid32, &mut scalar32);
         for d in Dispatch::candidates() {
             let mut got = Grid2d::zeros(h, w, halo);
             native::apply_2d_with(d, &case.spec, &case.grid, &mut got);
@@ -88,6 +93,15 @@ fn simd_and_scalar_paths_are_bit_identical_2d() {
             prop_assert!(
                 diff == 0.0,
                 "{:?} differs from scalar by {diff:e} on {h}x{w} r={} halo={halo}",
+                d,
+                case.spec.radius()
+            );
+            let mut got32 = Grid2dT::<f32>::zeros(h, w, halo);
+            native::apply_2d_with(d, &case.spec, &grid32, &mut got32);
+            let diff = scalar32.max_interior_diff(&got32);
+            prop_assert!(
+                diff == 0.0,
+                "{:?} f32 differs from scalar by {diff:e} on {h}x{w} r={} halo={halo}",
                 d,
                 case.spec.radius()
             );
@@ -152,7 +166,7 @@ fn case_3d_strategy() -> impl Strategy<Value = Case3d> {
     let dims = (
         range(1usize..7),  // d
         range(1usize..9),  // h
-        range(1usize..23), // w
+        range(1usize..73), // w
         range(1usize..3),  // radius 1..=2
         range(0usize..2),  // halo slack
         range(1usize..7),  // threads
@@ -202,6 +216,9 @@ fn simd_and_scalar_paths_are_bit_identical_3d() {
         );
         let mut scalar = Grid3d::zeros(d, h, w, halo);
         native::apply_3d_with(Dispatch::Scalar, &case.spec, &case.grid, &mut scalar);
+        let grid32 = Grid3dT::<f32>::convert_from(&case.grid);
+        let mut scalar32 = Grid3dT::<f32>::zeros(d, h, w, halo);
+        native::apply_3d_with(Dispatch::Scalar, &case.spec, &grid32, &mut scalar32);
         for disp in Dispatch::candidates() {
             let mut got = Grid3d::zeros(d, h, w, halo);
             native::apply_3d_with(disp, &case.spec, &case.grid, &mut got);
@@ -209,6 +226,13 @@ fn simd_and_scalar_paths_are_bit_identical_3d() {
             prop_assert!(
                 diff == 0.0,
                 "{disp:?} differs from scalar by {diff:e} on {d}x{h}x{w}"
+            );
+            let mut got32 = Grid3dT::<f32>::zeros(d, h, w, halo);
+            native::apply_3d_with(disp, &case.spec, &grid32, &mut got32);
+            let diff = scalar32.max_interior_diff(&got32);
+            prop_assert!(
+                diff == 0.0,
+                "{disp:?} f32 differs from scalar by {diff:e} on {d}x{h}x{w}"
             );
         }
         Ok(())

@@ -8,9 +8,10 @@ cd "$(dirname "$0")/.."
 WORKSPACE_CRATES="hstencil hstencil-testkit hstencil-core hstencil-serve hstencil-bench hstencil-conformance lx2-isa lx2-sim"
 
 # The gates below change meaning with the host's ISA: the avx512
-# conformance variants and bench group register only where avx512f
-# exists, and check_bench_json skips width gates whose rows are absent.
-# Print what this host has so a log line explains any skip notices.
+# conformance variants, the capped tempvec twins and the avx512 bench
+# group register only where the ISA exists, and check_bench_json skips
+# width gates whose rows are absent. Print what this host has so a log
+# line explains any skip notices.
 host_features() {
     local flags have=""
     flags="$(grep -m1 '^flags' /proc/cpuinfo 2>/dev/null || true)"
@@ -22,18 +23,7 @@ host_features() {
     done
     echo "$have"
 }
-# Which bodies of the temporally-vectorized wavefront family (DESIGN.md
-# §15) this host can execute: the scalar body always runs; the avx2 and
-# avx512 bodies (and their conformance twins) need the matching flags.
-tempvec_variants() {
-    local feats="$1" v="scalar"
-    case "$feats" in *" avx2"*) case "$feats" in *" fma"*) v="$v avx2" ;; esac ;; esac
-    case "$feats" in *" avx512f"*) v="$v avx512" ;; esac
-    echo "$v"
-}
-FEATURES="$(host_features)"
-echo "==> host CPU features:$FEATURES"
-echo "==> tempvec bodies this host can run: $(tempvec_variants "$FEATURES")"
+echo "==> host CPU features:$(host_features)"
 
 echo "==> formatting gate"
 cargo fmt --check
@@ -49,6 +39,15 @@ cargo build --release --workspace --offline
 
 echo "==> offline test suite"
 cargo test -q --workspace --offline
+
+echo "==> benchmark package (its own workspace, outside the one above)"
+# The repository benchmark builds from this checkout through the core
+# and serve public APIs; an API change can break it while every
+# workspace tier stays green. Its test runs every workload at tiny
+# sizes, traced and untraced, and requires zero failed operations.
+BENCH_MANIFEST=crates/bench/src/bin/benchmark/Cargo.toml
+cargo build --release --offline --manifest-path "$BENCH_MANIFEST"
+cargo test --release --offline --manifest-path "$BENCH_MANIFEST"
 
 echo "==> conformance matrix (fast tier; CONFORMANCE_EXHAUSTIVE=1 widens it)"
 # Differential + metamorphic matrix over every registered variant,
