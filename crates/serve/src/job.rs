@@ -150,8 +150,10 @@ impl JobRequest {
 /// exercise the production panic-containment path rather than a mock.
 #[derive(Clone)]
 pub enum Fault {
-    /// Panic on the job's highest pool lane — with ≥ 2 lanes this drives
-    /// the pool's `LANE_PANICKED` worker-unwind path end to end.
+    /// Panic on the highest lane of a pool job as wide as the server's
+    /// configured lanes, whatever lane count the job itself runs on —
+    /// with ≥ 2 lanes this drives the pool's `LANE_PANICKED`
+    /// worker-unwind path end to end.
     Panic,
     /// Park the executor inside this job until [`Hold::release`] — lets
     /// a test wedge the pipeline deterministically to observe

@@ -6,14 +6,16 @@
 //! A job is `(pattern, radius, coefficients, grid, sweeps)`. Jobs are
 //! submitted concurrently from any number of threads, pass admission
 //! control (a bounded queue with a typed, immediate
-//! [`JobError::QueueFull`] rejection), are batched by tuner-plan key so
-//! kernel-dispatch resolution amortizes across a batch, and execute on
-//! the global [`hstencil_core::ThreadPool`] with grids sharded into
-//! bands that recompute ghosts instead of exchanging halos. The
-//! pipeline is a chain of explicit stages connected by bounded channels
-//! (the DAM-RS `Context`/`Sender`/`Receiver` shape), so backpressure
-//! propagates end to end and per-stage queue depth / service time are
-//! observable through [`Server::snapshot`].
+//! [`JobError::QueueFull`] rejection), and are batched by tuner-plan
+//! key so kernel-dispatch resolution amortizes across a batch. A
+//! cache-resident job then runs whole on the executor thread; a
+//! streaming job runs on the global [`hstencil_core::ThreadPool`] with
+//! its grid sharded into bands that recompute ghosts instead of
+//! exchanging halos. The pipeline is a chain of explicit stages
+//! connected by bounded channels (the DAM-RS `Context`/`Sender`/
+//! `Receiver` shape), so backpressure propagates end to end and
+//! per-stage queue depth / service time, and a fixed-size latency
+//! histogram, are observable through [`Server::snapshot`].
 //!
 //! The crate ships with its harness: [`loadgen`] drives a server from a
 //! seeded, wall-clock-free arrival schedule
@@ -24,6 +26,7 @@
 //! deterministic executor stalls for the admission tests.
 
 pub mod job;
+mod latency;
 pub mod loadgen;
 pub mod server;
 pub mod stage;

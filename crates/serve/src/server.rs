@@ -1,10 +1,12 @@
 //! The job server: ingress → admission → batcher → executor → completion.
 //!
 //! ```text
-//!  submitters ──try_send──▶ [admission q] ──▶ batcher ──send──▶ [batch q] ──▶ executor ──▶ [done q] ──▶ completion
-//!   (many threads)             bounded         groups by          bounded       ThreadPool     bounded      latency +
-//!   typed QueueFull            HSTENCIL_       plan key,          (cap 2)       band shards,   stats        per-job
-//!   when full                  SERVE_QUEUE     ≤ batch jobs                     catch_unwind                reply
+//! submitters ──try_send──▶ [admission q] ──▶ batcher ──send──▶ [batch q] ──▶ executor ──▶ [done q] ──▶ completion
+//!  (many threads)             bounded         groups by          bounded       resident job:  bounded      latency
+//!  typed QueueFull            HSTENCIL_       plan key,          (cap 2)       whole, inline;              histogram +
+//!  when full                  SERVE_QUEUE     ≤ batch jobs                     streaming job:              per-job
+//!                                                                              pool bands;                 reply
+//!                                                                              catch_unwind
 //! ```
 //!
 //! Only the ingress edge uses `try_send`; every interior edge blocks its
@@ -20,16 +22,26 @@
 //! (plan lookup, tuning, heuristics) **once per batch** and reuses it
 //! for every job in the batch.
 //!
+//! **One lane per resident job.** The shape class in the batch key also
+//! fixes how many lanes a batch's jobs run on (`job_lanes`). A
+//! cache-resident job runs whole on the executor thread: one pool
+//! hand-off costs about as much as such a job's kernel time, so a band
+//! split made it slower, not faster. A streaming job keeps the band
+//! split over [`ServeConfig::lanes`], which scales there (DESIGN.md §13
+//! has the measurements).
+//!
 //! **Bit-identity.** The executor resolves the dispatch with the same
 //! `(threads = 1, f64)` query direct [`native::apply_2d`] uses, then
-//! runs it through the band-parallel / temporal entry points. Every
-//! dispatch in the repertoire is decomposition-invariant (bands
-//! recompute ghosts instead of exchanging halos), so a served result is
-//! bit-identical to the direct single-thread execution of the same job —
-//! the property the serve conformance suite pins for every completed
-//! job.
+//! runs it through the band-parallel / temporal entry points. A
+//! resident job on one lane makes the direct call itself; a streaming
+//! job's bands recompute ghosts instead of exchanging halos, and every
+//! dispatch in the repertoire is decomposition-invariant. So a served
+//! result is bit-identical to the direct single-thread execution of the
+//! same job — the property the serve conformance suite pins for every
+//! completed job.
 
 use crate::job::{Fault, JobError, JobHandle, JobId, JobRequest};
+use crate::latency::LatencyHistogram;
 use crate::stage::{self, Context, StageReceiver, StageSender, StageSnapshot, StageStats, TrySend};
 use hstencil_core::native::tune::{self, ShapeClass};
 use hstencil_core::native::{self, pool::ThreadPool, threads, Temporal};
@@ -52,8 +64,10 @@ pub struct ServeConfig {
     /// Max jobs coalesced into one executor batch. Env:
     /// `HSTENCIL_SERVE_BATCH`, default 8.
     pub batch: usize,
-    /// ThreadPool lanes each job is band-sharded across, default
-    /// [`threads::auto`] (`HSTENCIL_THREADS` still pins it).
+    /// ThreadPool lanes a streaming (out-of-cache) job is band-sharded
+    /// across, default [`threads::auto`] (`HSTENCIL_THREADS` still pins
+    /// it). Cache-resident jobs run whole on the executor thread,
+    /// whatever this is (`job_lanes`).
     pub lanes: usize,
 }
 
@@ -161,12 +175,8 @@ struct Counters {
     failed: AtomicU64,
     batches: AtomicU64,
     batched_jobs: AtomicU64,
-    latencies_s: Mutex<Vec<f64>>,
+    latency: LatencyHistogram,
 }
-
-/// Completion latencies kept for the stats snapshot; enough for every
-/// realistic scenario while bounding server memory.
-const LATENCY_CAP: usize = 1 << 20;
 
 impl Counters {
     fn new() -> Arc<Counters> {
@@ -177,7 +187,7 @@ impl Counters {
             failed: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batched_jobs: AtomicU64::new(0),
-            latencies_s: Mutex::new(Vec::new()),
+            latency: LatencyHistogram::new(),
         })
     }
 }
@@ -201,7 +211,9 @@ pub struct ServerSnapshot {
     /// Jobs carried by those batches (mean batch size = `batched_jobs /
     /// batches`).
     pub batched_jobs: u64,
-    /// Submit→completion latency distribution over successful jobs.
+    /// Submit→completion latency distribution over successful jobs:
+    /// `count`, `mean` and `max` exact, quantiles within 1% (read from
+    /// a fixed-size log-bucketed histogram, so the record never grows).
     pub latency: LatencyStats,
 }
 
@@ -331,11 +343,6 @@ impl Server {
     /// Current pipeline state (queue depths, service times, job
     /// accounting, latency distribution).
     pub fn snapshot(&self) -> ServerSnapshot {
-        let lat = self
-            .counters
-            .latencies_s
-            .lock()
-            .expect("serve latency lock");
         ServerSnapshot {
             stages: self.edges.iter().map(|e| e.snapshot()).collect(),
             submitted: self.counters.submitted.load(Ordering::Relaxed),
@@ -344,7 +351,7 @@ impl Server {
             failed: self.counters.failed.load(Ordering::Relaxed),
             batches: self.counters.batches.load(Ordering::Relaxed),
             batched_jobs: self.counters.batched_jobs.load(Ordering::Relaxed),
-            latency: LatencyStats::from_samples(&lat),
+            latency: self.counters.latency.stats(),
         }
     }
 }
@@ -431,10 +438,12 @@ impl Context for Batcher {
     }
 }
 
-/// Stage 3: executes batches on the global ThreadPool. Resolves the
-/// dispatch once per batch (the batch key guarantees uniformity), shards
-/// each grid across `lanes` bands (ghost recomputation, no halo
-/// exchange), and contains kernel panics to the failing job.
+/// Stage 3: executes batches. Resolves the dispatch and the lane count
+/// once per batch (the batch key guarantees both are uniform), runs
+/// each resident job whole on this thread and shards each streaming
+/// grid across `lanes` bands of the global ThreadPool (ghost
+/// recomputation, no halo exchange), and contains kernel panics to the
+/// failing job.
 struct Executor {
     rx: StageReceiver<Batch>,
     tx: StageSender<Done>,
@@ -459,17 +468,11 @@ impl Context for Executor {
             // batching by plan key. The (threads = 1, f64) query is the
             // same one direct apply_2d makes, pinning bit-identity.
             let first = batch.jobs.first().expect("batches are non-empty");
-            let dispatch = Dispatch::for_sweep_dtype(
-                &first.spec,
-                first.grid.h(),
-                first.grid.w(),
-                1,
-                Dtype::F64,
-            );
+            let (h, w) = (first.grid.h(), first.grid.w());
+            let dispatch = Dispatch::for_sweep_dtype(&first.spec, h, w, 1, Dtype::F64);
+            let lanes = job_lanes(self.lanes, h, w);
             for job in batch.jobs {
-                let result = run_job(
-                    self.lanes, dispatch, &job.spec, &job.grid, job.sweeps, &job.fault,
-                );
+                let result = run_job(self.lanes, lanes, dispatch, &job);
                 let fin = Done {
                     submitted: job.submitted,
                     done: job.done,
@@ -484,25 +487,42 @@ impl Context for Executor {
     }
 }
 
-/// Executes one job, containing panics to a typed error. Single-sweep
-/// jobs run the band-parallel kernel; multi-sweep jobs run the temporal
-/// executor (bit-identical to repeated `apply_2d` by construction).
+/// Lanes a job on an `h × w` grid runs on, given the server's
+/// configured `lanes`: one for a cache-resident grid, whose pool
+/// hand-off would cost about as much as the job, and all of them for a
+/// streaming grid, which the band split speeds up. A function of the
+/// shape class alone, which the batch key embeds, so it is one decision
+/// per batch.
+fn job_lanes(lanes: usize, h: usize, w: usize) -> usize {
+    match ShapeClass::of_dtype(h, w, Dtype::F64) {
+        ShapeClass::Resident => 1,
+        ShapeClass::Streaming => lanes,
+    }
+}
+
+/// Executes one job on `lanes` lanes, containing panics to a typed
+/// error. Single-sweep jobs run the band-parallel kernel; multi-sweep
+/// jobs run the temporal executor (bit-identical to repeated `apply_2d`
+/// by construction). With `lanes == 1` both run whole on the calling
+/// thread — the call a direct single-thread execution makes.
+///
+/// A [`Fault::Panic`] panics on the highest lane of a `pool_lanes`-wide
+/// pool job — the server's configured width, not the job's — so with
+/// `pool_lanes ≥ 2` it unwinds inside a pool worker and drives the
+/// pool's `LANE_PANICKED` containment, even for a job that itself runs
+/// on one lane.
 fn run_job(
+    pool_lanes: usize,
     lanes: usize,
     dispatch: Dispatch,
-    spec: &StencilSpec,
-    grid: &Grid2d,
-    sweeps: usize,
-    fault: &Option<Fault>,
+    job: &Job,
 ) -> Result<Grid2d, JobError> {
     let pool = ThreadPool::global();
+    let (spec, grid) = (&job.spec, &job.grid);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        match fault {
+        match &job.fault {
             Some(Fault::Panic) => {
-                // Panic on the highest lane of a real pool job: with
-                // lanes ≥ 2 this unwinds inside a worker, exercising the
-                // LANE_PANICKED containment path end to end.
-                pool.run(lanes, &|lane, lanes| {
+                pool.run(pool_lanes, &|lane, lanes| {
                     if lane + 1 == lanes {
                         panic!("injected serve fault: kernel panic on lane {lane}");
                     }
@@ -511,7 +531,7 @@ fn run_job(
             Some(Fault::Hold(hold)) => hold.enter_and_wait(),
             None => {}
         }
-        if sweeps == 1 {
+        if job.sweeps == 1 {
             let mut out = grid.halo_image();
             native::apply_2d_parallel_in(pool, dispatch, spec, grid, &mut out, lanes);
             out
@@ -521,7 +541,7 @@ fn run_job(
                 dispatch,
                 spec,
                 grid,
-                sweeps,
+                job.sweeps,
                 lanes,
                 Temporal::default(),
             )
@@ -560,15 +580,7 @@ impl Context for Completion {
             match &fin.result {
                 Ok(_) => {
                     self.counters.completed.fetch_add(1, Ordering::Relaxed);
-                    let latency = fin.submitted.elapsed().as_secs_f64();
-                    let mut lat = self
-                        .counters
-                        .latencies_s
-                        .lock()
-                        .expect("serve latency lock");
-                    if lat.len() < LATENCY_CAP {
-                        lat.push(latency);
-                    }
+                    self.counters.latency.record(fin.submitted.elapsed());
                 }
                 Err(_) => {
                     self.counters.failed.fetch_add(1, Ordering::Relaxed);
@@ -615,6 +627,48 @@ mod tests {
             "{}",
             batch_key(&star, 64, 64)
         );
+    }
+
+    #[test]
+    fn resident_batches_run_on_one_lane_and_streaming_batches_split() {
+        for lanes in [1, 2, 4] {
+            // 512² f64 double-buffered is exactly the 4 MiB boundary.
+            assert_eq!(job_lanes(lanes, 512, 512), 1);
+            assert_eq!(job_lanes(lanes, 513, 512), lanes);
+            assert_eq!(job_lanes(lanes, 768, 400), lanes);
+            for class in crate::loadgen::standard_classes() {
+                assert_eq!(job_lanes(lanes, class.h, class.w), 1, "{}", class.name);
+            }
+        }
+    }
+
+    #[test]
+    fn an_injected_panic_spans_the_configured_lanes_not_the_jobs() {
+        let spec = presets::star2d5p();
+        let grid = Grid2d::from_fn(40, 56, 1, |i, j| (i * 56 + j) as f64);
+        assert_eq!(job_lanes(2, grid.h(), grid.w()), 1, "a resident job");
+        let dispatch = Dispatch::for_sweep_dtype(&spec, grid.h(), grid.w(), 1, Dtype::F64);
+        let (done, _rx) = std::sync::mpsc::channel();
+        let job = Job {
+            key: batch_key(&spec, grid.h(), grid.w()),
+            spec,
+            grid,
+            sweeps: 1,
+            fault: Some(Fault::Panic),
+            submitted: Instant::now(),
+            done,
+        };
+        // Two configured lanes: the panic unwinds in a pool worker and
+        // comes back as the pool's LANE_PANICKED re-raise...
+        match run_job(2, 1, dispatch, &job) {
+            Err(JobError::Panicked(msg)) => assert!(msg.contains("pool worker panicked"), "{msg}"),
+            other => panic!("expected a contained worker panic, got {other:?}"),
+        }
+        // ...one configured lane: it unwinds inline on this thread.
+        match run_job(1, 1, dispatch, &job) {
+            Err(JobError::Panicked(msg)) => assert!(msg.contains("injected serve fault"), "{msg}"),
+            other => panic!("expected a contained inline panic, got {other:?}"),
+        }
     }
 
     #[test]
