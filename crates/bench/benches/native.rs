@@ -9,7 +9,8 @@
 //!
 //! * `seed`   — the frozen seed executor (`native::baseline`),
 //! * `scalar` — the v2 `mul_add` chain, forced scalar dispatch,
-//! * the detected best dispatch (`avx2+fma` on x86-64).
+//! * the default dispatch, the widest canonical kernel the host runs
+//!   (`avx512` where `avx512f` exists, else `avx2+fma`).
 //!
 //! Two element-genericity groups ride along (DESIGN.md §12):
 //! `native2d_f32` times the best schedule at f32 vs f64 (the in-cache
@@ -93,8 +94,7 @@ impl Kernel {
         match self {
             Kernel::Seed => "seed",
             // The dispatch's own label ("scalar", "avx2+fma", "avx512",
-            // "hybrid8x8", "tempvec") — the same string the tune cache
-            // and HSTENCIL_DISPATCH use.
+            // "tempvec") — the same string HSTENCIL_DISPATCH uses.
             Kernel::Forced(d) => d.label(),
             Kernel::Best => Dispatch::detect().label(),
         }
@@ -369,8 +369,8 @@ fn median_of(
 }
 
 /// Best (smallest) median across every row matching the config — the
-/// hybrid group and the main group both record the avx2+fma kernel at
-/// the acceptance size, and a ratio should compare best against best.
+/// main group and the avx512 group can both record a kernel at the
+/// acceptance size, and a ratio should compare best against best.
 /// Ratios are always within one dtype.
 fn min_median_of(
     rows: &[Row],
@@ -526,37 +526,6 @@ fn main() {
         warm_out,
         n_out,
     );
-    // Hybrid 8×8 register-tile kernel vs the canonical 2×8 kernel
-    // (DESIGN.md §10): in-cache and out-of-cache, star and box, single
-    // thread so the ratio isolates the kernel schedule. The canonical
-    // side is the detected best bit-exact dispatch (avx2+fma on x86-64,
-    // scalar elsewhere — Hybrid always runs, it has a scalar fallback).
-    for spec in [&star, &boxs] {
-        for size in [256usize, 4096] {
-            let (warm, n) = if size <= 256 {
-                (warm_in, n_in)
-            } else {
-                (warm_out, n_out)
-            };
-            for kernel in [
-                Kernel::Forced(Dispatch::detect()),
-                Kernel::Forced(Dispatch::Hybrid),
-            ] {
-                bench_2d(
-                    &h,
-                    "native2d_hybrid",
-                    &mut rows,
-                    &pool,
-                    spec,
-                    size,
-                    1,
-                    kernel,
-                    warm,
-                    n,
-                );
-            }
-        }
-    }
     // f32 vs f64 (DESIGN.md §12): the same best schedule at half the
     // element width — in-cache the vector kernels retire twice the
     // lanes per FMA, out-of-cache the sweep moves half the bytes. The
@@ -593,9 +562,10 @@ fn main() {
             n,
         );
     }
-    // AVX-512 vs AVX2 at both element widths. Recorded only where the
-    // host has avx512f — the group is absent (with a notice) elsewhere,
-    // and gates over it skip rather than fail.
+    // AVX-512 vs AVX2 at both element widths, each forced by name (the
+    // default is one of them). Recorded only where the host has
+    // avx512f — the group is absent (with a notice) elsewhere, and
+    // gates over it skip rather than fail.
     if Dispatch::avx512_available() {
         for size in [256usize, 4096] {
             let (warm, n) = if size <= 256 {
@@ -604,7 +574,7 @@ fn main() {
                 (warm_out, n_out)
             };
             for kernel in [
-                Kernel::Forced(Dispatch::detect()),
+                Kernel::Forced(Dispatch::Avx2Fma),
                 Kernel::Forced(Dispatch::Avx512),
             ] {
                 bench_2d_e::<f64>(
@@ -697,8 +667,7 @@ fn main() {
 
     // Saturated-machine tier (ISSUE 6): the out-of-cache acceptance
     // shapes at 1/2/4/all-core lane counts, one scaling curve per
-    // executor path — single-sweep best kernel (star + box), the hybrid
-    // 8×8 kernel (its staged-NT store policy is lane-aware), the
+    // executor path — single-sweep best kernel (star + box), the
     // temporal/naive multi-sweep pair, and the 3-D parallel path. The
     // t1 points double as the scaling denominators in `check_bench_json
     // --gate-threads`.
@@ -717,18 +686,6 @@ fn main() {
                 n_out,
             );
         }
-        bench_2d(
-            &h,
-            "native_scaling",
-            &mut rows,
-            &pool,
-            &star,
-            4096,
-            t,
-            Kernel::Forced(Dispatch::Hybrid),
-            warm_out,
-            n_out,
-        );
         for kernel in [MsKernel::Naive, MsKernel::Temporal] {
             bench_multisweep(
                 &h,
@@ -786,18 +743,6 @@ fn main() {
             println!("speedup star2d5p/{size}/s{SWEEPS}/t1 tempvec vs temporal: {s:.2}x");
         }
     }
-    // The acceptance ratio: hybrid 8×8 vs the best canonical kernel on
-    // the out-of-cache single-sweep case (gated in verify.sh).
-    let hybrid_speedup = match (
-        min_median_of(&rows, "star2d5p", 4096, 1, 1, best, "f64"),
-        min_median_of(&rows, "star2d5p", 4096, 1, 1, "hybrid8x8", "f64"),
-    ) {
-        (Some(canon), Some(hyb)) if hyb > 0.0 => Some(canon / hyb),
-        _ => None,
-    };
-    if let Some(s) = hybrid_speedup {
-        println!("speedup star2d5p/4096/t1 hybrid8x8 vs {best}: {s:.2}x");
-    }
     // f32-vs-f64 ratio per size (best non-seed kernel each side; the
     // in-cache point is the `--gate-f32` acceptance ratio).
     let f32_speedup = |size: usize| match (
@@ -814,8 +759,9 @@ fn main() {
         }
     }
     // avx512-vs-avx2 ratio per (size, dtype), where recorded.
+    let avx2 = Dispatch::Avx2Fma.label();
     let avx512_speedup = |size: usize, dtype: &str| match (
-        min_median_of(&rows, "star2d5p", size, 1, 1, best, dtype),
+        min_median_of(&rows, "star2d5p", size, 1, 1, avx2, dtype),
         min_median_of(&rows, "star2d5p", size, 1, 1, "avx512", dtype),
     ) {
         (Some(canon), Some(wide)) if wide > 0.0 => Some(canon / wide),
@@ -826,7 +772,7 @@ fn main() {
     for size in [256usize, 4096] {
         for dtype in ["f64", "f32"] {
             if let Some(s) = avx512_speedup(size, dtype) {
-                println!("speedup star2d5p/{size}/t1/{dtype} avx512 vs {best}: {s:.2}x");
+                println!("speedup star2d5p/{size}/t1/{dtype} avx512 vs {avx2}: {s:.2}x");
             }
         }
     }
@@ -865,7 +811,6 @@ fn main() {
         ("speedup_temporal_star2d5p_4096_s8", t4096.to_json()),
         ("speedup_tempvec_star2d5p_2048_s8_t1", tv2048.to_json()),
         ("speedup_tempvec_star2d5p_4096_s8_t1", tv4096.to_json()),
-        ("speedup_hybrid_star2d5p_4096_t1", hybrid_speedup.to_json()),
         ("speedup_f32_star2d5p_256_t1", f32_256.to_json()),
         ("speedup_f32_star2d5p_4096_t1", f32_4096.to_json()),
         ("speedup_avx512_star2d5p_256_t1", avx512_256.to_json()),

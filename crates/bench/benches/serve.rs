@@ -12,7 +12,7 @@
 //!   number the `--gate-latency` acceptance gate pins.
 //! * `uniform_burst` — a single job class submitted back-to-back
 //!   ([`Pace::Immediate`]) into a queue sized to take the whole burst,
-//!   the saturation case where batching by plan key amortizes dispatch
+//!   the saturation case where batching by batch key amortizes dispatch
 //!   resolution (mean batch size is recorded for the summary line).
 //!
 //! The arrival schedule and every grid's contents derive from

@@ -20,12 +20,11 @@
 //!
 //! Each per-case line is annotated with the kernel's static memory
 //! profile, derived from the bench naming scheme alone: `ld/elem` is
-//! element loads per output element (per-tap-load kernels load every
-//! tap; `hybrid8x8` loads each aligned row vector once and synthesizes
-//! the shifted operands in-register, DESIGN.md §10), and `ai` is the
-//! arithmetic intensity in FMA-flops per loaded element. The column is
-//! omitted for rows with no static model (the multi-sweep
-//! naive/temporal executors, whose traffic depends on tile geometry).
+//! element loads per output element (the canonical kernels load every
+//! tap), and `ai` is the arithmetic intensity in FMA-flops per loaded
+//! element. The column is omitted for rows with no static model (the
+//! multi-sweep naive/temporal executors, whose traffic depends on tile
+//! geometry, and kernels no longer in the tree).
 //!
 //! After the per-case diff, a scaling section lists every
 //! (stencil, size, sweeps, kernel) config measured at more than one
@@ -164,38 +163,21 @@ fn shape(stencil: &str) -> Option<(bool, u32, u32)> {
 
 /// Static memory profile for a (stencil, kernel) case:
 /// `(loads_per_element, arithmetic_intensity)` where the intensity is
-/// FMA-flops per loaded element (2 flops per tap). Per-tap-load
-/// kernels load one element per tap per output. The hybrid 8×8 kernel
-/// loads each stencil row's aligned vector pair once per 2L outputs
-/// and only pays extra loads for the out-of-pair edge taps, so a row
-/// with horizontal taps costs (2 + r_left + r_right)/2 = r+1 element
-/// loads per output and a vertical-only row costs 1: star -> 3r+1,
-/// box -> (2r+1)(r+1). Returns `None` for kernels with no static model
-/// (the multi-sweep naive/temporal executors) and for shapes the
-/// hybrid kernel does not cover (3-D).
+/// FMA-flops per loaded element (2 flops per tap). The per-tap-load
+/// kernels (`seed` and the canonical ones) load one element per tap
+/// per output. Returns `None` for kernels with no static model (the
+/// multi-sweep naive/temporal executors, retired kernels).
 fn intensity(stencil: &str, kernel: &str) -> Option<(f64, f64)> {
     let (star, dims, r) = shape(stencil)?;
+    if !matches!(kernel, "seed" | "scalar" | "avx2+fma" | "avx512") {
+        return None;
+    }
     let taps = if star {
         2 * dims * r + 1
     } else {
         (2 * r + 1).pow(dims)
     } as f64;
-    let flops = 2.0 * taps;
-    let loads = if kernel == "hybrid8x8" {
-        if dims != 2 {
-            return None;
-        }
-        if star {
-            (3 * r + 1) as f64
-        } else {
-            ((2 * r + 1) * (r + 1)) as f64
-        }
-    } else if matches!(kernel, "seed" | "scalar" | "avx2+fma" | "avx512") {
-        taps
-    } else {
-        return None;
-    };
-    Some((loads, flops / loads))
+    Some((taps, 2.0))
 }
 
 /// The ld/elem + ai suffix for a case key, or "" when no model applies.
@@ -336,26 +318,13 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_loads_each_row_vector_once() {
-        // Star r=1: center row costs r+1 = 2 element loads per output,
-        // each of the 2r vertical rows costs 1 -> 3r+1 = 4 (vs 5 taps).
-        assert_eq!(intensity("star2d5p", "hybrid8x8"), Some((4.0, 2.5)));
-        // Star r=3: 3r+1 = 10 loads against 13 taps (26 flops).
-        assert_eq!(intensity("star2d13p", "hybrid8x8"), Some((10.0, 2.6)));
-        // Box r=1: every row has horizontal taps -> (2r+1)(r+1) = 6
-        // loads against 9 taps (18 flops).
-        assert_eq!(intensity("box2d9p", "hybrid8x8"), Some((6.0, 3.0)));
-    }
-
-    #[test]
     fn rows_without_a_static_model_get_no_column() {
         // Multi-sweep executors: traffic depends on tile geometry.
         assert!(intensity("star2d5p", "naive").is_none());
         assert!(intensity("star2d5p", "temporal3").is_none());
-        // No 3-D shift-synthesis path exists (narrow_3d re-dispatches).
-        assert!(intensity("heat3d", "hybrid8x8").is_none());
-        // Labels of the retired reuse kernels have no model either.
+        // Labels of the retired kernels have no model either.
         assert!(intensity("star2d5p", "avx2+reuse").is_none());
+        assert!(intensity("star2d5p", "hybrid8x8").is_none());
         // Names outside the preset scheme, or with an inconsistent
         // point count, drop the column rather than guessing.
         assert!(intensity("mystencil", "avx2+fma").is_none());
@@ -392,8 +361,8 @@ mod tests {
     #[test]
     fn annotate_extracts_stencil_and_kernel_from_the_case_key() {
         assert_eq!(
-            annotate("star2d5p/256/s1/t1/hybrid8x8"),
-            "  [4.0 ld/elem, ai 2.50]"
+            annotate("star2d5p/256/s1/t1/avx512"),
+            "  [5.0 ld/elem, ai 2.00]"
         );
         // Dtype-segmented keys still end with the kernel label.
         assert_eq!(

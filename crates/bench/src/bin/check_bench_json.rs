@@ -8,11 +8,7 @@
 //! `naive_median / temporal_median >= MINRATIO` (e.g. `4096:1.3` pins
 //! the recorded temporal speedup; `2048:0.91` lets a smoke run tolerate
 //! 10% noise but still catches the pipeline regressing to slower than
-//! the naive ping-pong). `--gate-hybrid=SIZE:MINRATIO` does the same
-//! for the single-sweep single-thread star2d5p rows: best avx2+fma
-//! median / best hybrid8x8 median must reach MINRATIO (the acceptance
-//! gate is `4096:1.10`; smoke runs use a loose `4096:0.9`). Both may be
-//! passed more than once.
+//! the naive ping-pong). It may be passed more than once.
 //!
 //! `--gate-threads=SIZE:LANES:MINRATIO` gates multi-core scaling: the
 //! best single-sweep star2d5p median at `LANES` threads must beat the
@@ -299,7 +295,6 @@ fn check_serve(path: &str, doc: &Json, latency_gates: &[f64]) {
 fn main() {
     let mut path: Option<String> = None;
     let mut gates: Vec<(f64, f64)> = Vec::new();
-    let mut hybrid_gates: Vec<(f64, f64)> = Vec::new();
     let mut thread_gates: Vec<(f64, f64, f64)> = Vec::new();
     let mut f32_gates: Vec<(f64, f64)> = Vec::new();
     let mut tempvec_gates: Vec<(f64, f64, f64)> = Vec::new();
@@ -327,8 +322,6 @@ fn main() {
     for arg in std::env::args().skip(1) {
         if let Some(spec) = arg.strip_prefix("--gate-temporal=") {
             gates.push(parse_gate("--gate-temporal", spec));
-        } else if let Some(spec) = arg.strip_prefix("--gate-hybrid=") {
-            hybrid_gates.push(parse_gate("--gate-hybrid", spec));
         } else if let Some(spec) = arg.strip_prefix("--gate-threads=") {
             thread_gates.push(parse_thread_gate(spec));
         } else if let Some(spec) = arg.strip_prefix("--gate-f32=") {
@@ -373,7 +366,6 @@ fn main() {
         }
         Some("serve_load_gen") => {
             if !(gates.is_empty()
-                && hybrid_gates.is_empty()
                 && thread_gates.is_empty()
                 && f32_gates.is_empty()
                 && tempvec_gates.is_empty())
@@ -395,11 +387,6 @@ fn main() {
     let mut configs = std::collections::BTreeSet::new();
     // (size, kernel) -> median_s, for the star2d5p multi-sweep gates.
     let mut multisweep: Vec<(f64, String, f64)> = Vec::new();
-    // (size, kernel) -> median_s for the single-sweep single-thread
-    // star2d5p rows (the hybrid-kernel gate). A kernel can appear in
-    // both the main and the hybrid bench group; keep every row and
-    // compare best against best.
-    let mut single: Vec<(f64, String, f64)> = Vec::new();
     // (size, threads) -> median_s across every single-sweep star2d5p
     // row (the scaling gate compares best-of-any-kernel at LANES
     // against best-of-any-kernel at 1 thread).
@@ -462,11 +449,8 @@ fn main() {
         }
         if stencil == "star2d5p" && sweeps == 1.0 && threads == 1.0 {
             if let Some(kernel) = row.get("kernel").and_then(Json::as_str) {
-                let median = row.get("median_s").and_then(Json::as_f64).unwrap();
-                if dtype == "f64" {
-                    single.push((size, kernel.to_string(), median));
-                }
                 if kernel != "seed" {
+                    let median = row.get("median_s").and_then(Json::as_f64).unwrap();
                     widths.push((size, dtype.to_string(), median));
                 }
             }
@@ -517,33 +501,6 @@ fn main() {
             );
         }
         println!("check_bench_json: temporal gate {size}^2 ok ({ratio:.2}x >= {min_ratio})");
-    }
-    for (size, min_ratio) in &hybrid_gates {
-        let best_median = |kernel: &str| {
-            single
-                .iter()
-                .filter(|(s, k, _)| s == size && k == kernel)
-                .map(|(_, _, m)| *m)
-                .min_by(f64::total_cmp)
-        };
-        let (canon, hybrid) = match (best_median("avx2+fma"), best_median("hybrid8x8")) {
-            (Some(c), Some(h)) if h > 0.0 => (c, h),
-            _ => fail(
-                1,
-                format!("{path}: no star2d5p single-sweep avx2+fma/hybrid8x8 pair at size {size}"),
-            ),
-        };
-        let ratio = canon / hybrid;
-        if ratio < *min_ratio {
-            fail(
-                1,
-                format!(
-                    "{path}: hybrid speedup at {size}^2 is {ratio:.3}x (avx2+fma {canon:.4}s / \
-                     hybrid8x8 {hybrid:.4}s), below the {min_ratio} gate"
-                ),
-            );
-        }
-        println!("check_bench_json: hybrid gate {size}^2 ok ({ratio:.2}x >= {min_ratio})");
     }
     let host_threads = doc.get("host_threads").and_then(Json::as_f64);
     for (size, lanes, min_ratio) in &thread_gates {

@@ -123,18 +123,8 @@ impl Variant {
     /// [`Variant::native_f32`], so the band decomposition itself faces
     /// the f32 ULP budgets.
     pub fn native_f32_parallel(threads: usize) -> Variant {
-        Self::native_f32_parallel_with(
-            format!("native/f32/parallel{threads}"),
-            Dispatch::detect(),
-            threads,
-        )
-    }
-
-    /// A pool-parallel f32 run of one *specific* dispatch path — the
-    /// f32 twin of [`Variant::native_parallel_with`].
-    pub fn native_f32_parallel_with(name: String, dispatch: Dispatch, threads: usize) -> Variant {
         Variant {
-            name,
+            name: format!("native/f32/parallel{threads}"),
             star_only: false,
             dtype: Dtype::F32,
             runner: Box::new(move |spec, a| {
@@ -142,7 +132,7 @@ impl Variant {
                 let mut out32 = a32.clone();
                 native::apply_2d_parallel_in(
                     ThreadPool::global(),
-                    dispatch,
+                    Dispatch::detect(),
                     spec,
                     &a32,
                     &mut out32,
@@ -186,27 +176,15 @@ impl Variant {
     /// The native executor's pool-parallel path (`threads` lanes of the
     /// global persistent pool, best dispatch).
     pub fn native_parallel(threads: usize) -> Variant {
-        Self::native_parallel_with(
-            format!("native/parallel{threads}"),
-            Dispatch::detect(),
-            threads,
-        )
-    }
-
-    /// A pool-parallel run of one *specific* dispatch path. Exists so
-    /// the matrix pins kernels whose store path is lane-aware (the
-    /// hybrid staged-NT policy) at a thread count that flips the
-    /// policy, not just at the auto-detected best kernel.
-    pub fn native_parallel_with(name: String, dispatch: Dispatch, threads: usize) -> Variant {
         Variant {
-            name,
+            name: format!("native/parallel{threads}"),
             star_only: false,
             dtype: Dtype::F64,
             runner: Box::new(move |spec, a| {
                 let mut out = a.clone();
                 native::apply_2d_parallel_in(
                     ThreadPool::global(),
-                    dispatch,
+                    Dispatch::detect(),
                     spec,
                     a,
                     &mut out,
@@ -334,10 +312,6 @@ pub fn registry() -> Vec<Variant> {
         Variant::native_parallel(2),
         Variant::native_parallel(4),
         Variant::native_temporal(3),
-        // The hybrid kernel under the pool at 3 lanes: per-lane bands
-        // shrink below the staged-NT threshold, so this pins the
-        // direct-store side of the lane-aware policy in the matrix.
-        Variant::native_parallel_with("native/hybrid8x8-par3".into(), Dispatch::Hybrid, 3),
         Variant::sim("lx2/hstencil", Method::HStencil, lx2, false),
         Variant::sim("lx2/vector-only", Method::VectorOnly, lx2, false),
         Variant::sim("lx2/matrix-stop", Method::MatrixOnly, lx2, false),
@@ -345,22 +319,15 @@ pub fn registry() -> Vec<Variant> {
         Variant::sim("lx2/naive-hybrid", Method::NaiveHybrid, lx2, false),
         Variant::sim("lx2/auto", Method::Auto, lx2, false),
         Variant::sim("m4/hstencil", Method::HStencil, m4, false),
-        // The hybrid 8×8 register-tile kernel (Algorithm 2 on x86).
-        // Its accumulation order interleaves vertical rank-1 updates
-        // with a folded inner-MLA partial, reassociating the canonical
-        // tap sum — so it is ULP-bounded against the reference, NOT
-        // bit-exact like native/scalar vs native/avx2+fma. Registered
-        // unconditionally: off x86 (or at radius > 4) it runs its
-        // bit-identical scalar hybrid chain.
-        Variant::native(Dispatch::Hybrid),
     ];
+    // The f32 instantiations of the TileKernel trait (DESIGN.md §12),
+    // one row per canonical SIMD kernel the host runs, judged at f32
+    // ULP budgets via `Variant::dtype`. The AVX-512 rows register
+    // below.
     if Dispatch::avx2_available() {
         v.push(Variant::native(Dispatch::Avx2Fma));
+        v.push(Variant::native_f32(Dispatch::Avx2Fma));
     }
-    // The f32 instantiation of the TileKernel trait (DESIGN.md §12),
-    // at the host's best canonical-chain dispatch. Judged at f32 ULP
-    // budgets via `Variant::dtype`.
-    v.push(Variant::native_f32(Dispatch::detect()));
     // The f32 temporal/parallel rows (ROADMAP item 3 follow-on): the
     // band decomposition and the trapezoid ghost machinery had f64
     // coverage only until ISSUE 8.
@@ -369,9 +336,9 @@ pub fn registry() -> Vec<Variant> {
     // The temporally-vectorized family (DESIGN.md §15), f64 and f32.
     // Registered unconditionally: its scalar row body is part of the
     // family's bit-identity contract, so off x86 the rows still run.
-    // Like the hybrid row, tempvec reassociates the canonical tap sum
-    // (two alternating accumulators) — ULP-bounded, not bit-exact,
-    // against the reference.
+    // Tempvec reassociates the canonical tap sum (two alternating
+    // accumulators) — ULP-bounded, not bit-exact, against the
+    // reference.
     v.push(Variant::native(Dispatch::TempVec));
     v.push(Variant::native_f32(Dispatch::TempVec));
     // The AVX-512 instances register only where the host can execute
@@ -407,7 +374,10 @@ pub fn skip_notices() -> Vec<String> {
 pub fn skip_notices_for(avx2: bool, avx512: bool) -> Vec<String> {
     let mut out = Vec::new();
     if !avx2 {
-        out.push("conformance: skipping native/avx2+fma: host lacks AVX2".to_string());
+        out.push(
+            "conformance: skipping native/avx2+fma and native/f32/avx2+fma: host lacks AVX2"
+                .to_string(),
+        );
     }
     if !avx512 {
         out.push(
@@ -448,15 +418,7 @@ mod tests {
         assert!(names.iter().any(|n| n == "reference"));
         assert!(names.iter().any(|n| n.starts_with("native/")));
         assert!(names.iter().any(|n| n.starts_with("sim/")));
-        assert!(
-            names.iter().any(|n| n == "native/hybrid8x8"),
-            "hybrid kernel missing from the matrix: {names:?}"
-        );
-        for needed in [
-            "native/parallel2",
-            "native/parallel4",
-            "native/hybrid8x8-par3",
-        ] {
+        for needed in ["native/parallel2", "native/parallel4"] {
             assert!(
                 names.iter().any(|n| n == needed),
                 "thread-scaling variant {needed} missing from the matrix: {names:?}"
@@ -472,12 +434,24 @@ mod tests {
                 "f32 temporal/parallel variant {needed} missing from the matrix: {names:?}"
             );
         }
-        // The standalone reuse kernels are retired; nothing registers
-        // under their names.
+        // The standalone reuse kernels and the hybrid kernel are
+        // retired; nothing registers under their names.
         assert!(
-            !names.iter().any(|n| n.contains("reuse")),
-            "retired reuse variants registered: {names:?}"
+            !names
+                .iter()
+                .any(|n| n.contains("reuse") || n.contains("hybrid8x8")),
+            "retired variants registered: {names:?}"
         );
+        // One row per canonical SIMD kernel the host runs, at each
+        // dtype.
+        for (kernel, runs) in [
+            ("avx2+fma", Dispatch::avx2_available()),
+            ("avx512", Dispatch::avx512_available()),
+        ] {
+            for row in [format!("native/{kernel}"), format!("native/f32/{kernel}")] {
+                assert_eq!(names.contains(&row), runs, "{row}: {names:?}");
+            }
+        }
         // The tempvec family rows are unconditional (scalar fallback).
         for needed in ["native/tempvec", "native/f32/tempvec"] {
             assert!(

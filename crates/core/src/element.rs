@@ -11,8 +11,8 @@
 
 use std::fmt;
 
-/// The element type of a grid/kernel instance, as data (for tune keys,
-/// registry names and bench rows).
+/// The element type of a grid/kernel instance, as data (for serve batch
+/// keys, registry names and bench rows).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Dtype {
     /// IEEE-754 binary32.
@@ -22,8 +22,8 @@ pub enum Dtype {
 }
 
 impl Dtype {
-    /// Stable lowercase label (`"f32"` / `"f64"`), used in autotuner
-    /// plan keys, conformance variant names and bench row ids.
+    /// Stable lowercase label (`"f32"` / `"f64"`), used in serve batch
+    /// keys, conformance variant names and bench row ids.
     pub fn label(self) -> &'static str {
         match self {
             Dtype::F32 => "f32",
@@ -36,16 +36,6 @@ impl Dtype {
         match self {
             Dtype::F32 => 4,
             Dtype::F64 => 8,
-        }
-    }
-
-    /// Parses a [`Dtype::label`] back (used by the tune-file reader;
-    /// anything unrecognised is `None`, dropped row-wise by the parser).
-    pub fn from_label(s: &str) -> Option<Dtype> {
-        match s {
-            "f32" => Some(Dtype::F32),
-            "f64" => Some(Dtype::F64),
-            _ => None,
         }
     }
 }
@@ -71,7 +61,7 @@ pub trait Element: Copy + PartialEq + PartialOrd + fmt::Debug + Send + Sync + 's
     const DTYPE: Dtype;
     /// Additive identity.
     const ZERO: Self;
-    /// Multiplicative identity (the hybrid kernel's fold constant).
+    /// Multiplicative identity (the tempvec fold constant).
     const ONE: Self;
 
     /// Fused multiply-add `self * a + b`, rounded once.
@@ -133,15 +123,6 @@ impl Element for f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn labels_round_trip() {
-        for d in [Dtype::F32, Dtype::F64] {
-            assert_eq!(Dtype::from_label(d.label()), Some(d));
-        }
-        assert_eq!(Dtype::from_label("f16"), None);
-        assert_eq!(Dtype::from_label(""), None);
-    }
 
     #[test]
     fn sizes_match_the_types() {

@@ -11,7 +11,6 @@
 //! | [`ScalarTile`]| canonical FMA chain  | canonical FMA chain   | yes      |
 //! | [`Avx2Tile`]  | 2×8 cols, 4-lane ymm | 2×16 cols, 8-lane ymm | yes      |
 //! | [`Avx512Tile`]| 2×16 cols, 8-lane zmm| 2×32 cols, 16-lane zmm| yes      |
-//! | [`HybridTile`]| 8×8 Algorithm-2 tile | scalar chain + staged NT | no (narrowed) |
 //!
 //! # The bit-identity contract
 //!
@@ -19,10 +18,9 @@
 //! multiply-add chain over the nonzero taps in canonical `(dk, di, dj)`
 //! ascending order starting from zero. Vector `fma` and
 //! `Element::mul_add` all round once per step, so within one element
-//! type every non-hybrid instance is **bit-identical** to the scalar
-//! chain regardless of vector width — dispatch can change speed, never
-//! results. The hybrid instance reassociates (vertical rank-1 + folded
-//! inner partial) and is ULP-bounded instead.
+//! type every instance is **bit-identical** to the scalar chain
+//! regardless of vector width — dispatch can change speed, never
+//! results.
 //!
 //! # One body per schedule
 //!
@@ -36,8 +34,7 @@
 //! sweeps: a binary carries one copy of each, and the hot loop keeps
 //! the code placement the per-ISA copies had (on a 2-vCPU AVX-512 Xeon
 //! the same loop instantiated in the benchmark crate ran the in-cache
-//! `sweep_l2` workload 20–30% slower). The hybrid tile keeps per-dtype
-//! impls, named by [`NativeElement::KHybrid`].
+//! `sweep_l2` workload 20–30% slower).
 
 use super::kernel2d;
 #[cfg(target_arch = "x86_64")]
@@ -45,7 +42,7 @@ use super::kernel2d::Simd;
 #[cfg(target_arch = "x86_64")]
 use super::lane::Lane;
 use super::prefetch::Prefetch;
-use super::{hybrid, tile, Dispatch};
+use super::{tile, Dispatch};
 use crate::element::Element;
 
 pub use super::kernel2d::Taps2;
@@ -98,9 +95,7 @@ pub trait TileKernel<E: Element> {
 
     /// The 3-D analogue of [`TileKernel::execute`] over `(dk, di, dj)`
     /// taps. The default is the canonical scalar chain; every SIMD
-    /// instance runs the same canonical bodies as in 2-D. The hybrid
-    /// instance keeps the default, but `Dispatch::narrow_3d` maps it
-    /// away before any 3-D sweep.
+    /// instance runs the same canonical bodies as in 2-D.
     ///
     /// # Safety
     ///
@@ -124,16 +119,12 @@ pub trait TileKernel<E: Element> {
 
     /// Sweeps output rows `i_lo .. i_hi` of a band: `dst[0]` is element
     /// `(i_lo, 0)` of the output, rows `b_stride` apart, `a_org` the
-    /// flat index of `(0, 0)` in `a`. `lanes` is the number of pool
-    /// lanes sweeping sibling bands (feeds store policy only; can
-    /// never change results).
+    /// flat index of `(0, 0)` in `a`.
     ///
     /// The default driver reproduces the pre-trait band walk exactly:
     /// cache-sized column tiles (`tile::col_block`), and within a
     /// tile either single rows (`tile_m == 1`) or the split-borrow row
-    /// pair walk (`tile_m >= 2`). The hybrid instance overrides this
-    /// wholesale — its 8-row schedule owns its own tiling and store
-    /// policy.
+    /// pair walk (`tile_m >= 2`).
     #[allow(clippy::too_many_arguments)]
     fn sweep_band(
         taps: &Taps2<E>,
@@ -145,9 +136,7 @@ pub trait TileKernel<E: Element> {
         b_stride: usize,
         i_lo: usize,
         i_hi: usize,
-        lanes: usize,
     ) {
-        let _ = lanes; // only the hybrid store policy is lane-aware
         assert!(
             Self::available(),
             "{} dispatch forced on a machine without it",
@@ -193,9 +182,8 @@ pub trait TileKernel<E: Element> {
 }
 
 /// An element type the native executor can drive end-to-end: names its
-/// vector registers and its hybrid instance (working around the
-/// absence of specialization) and provides the non-temporal store
-/// primitive the generic staged-NT drain is built on.
+/// vector registers (working around the absence of specialization) and
+/// compiles the canonical bodies once per dtype.
 pub trait NativeElement: Element {
     /// This dtype's 256-bit (AVX2) vector register.
     #[cfg(target_arch = "x86_64")]
@@ -205,8 +193,6 @@ pub trait NativeElement: Element {
     #[cfg(target_arch = "x86_64")]
     #[doc(hidden)]
     type Zmm: Lane<E = Self>;
-    /// The hybrid 8-row Algorithm-2 instance.
-    type KHybrid: TileKernel<Self>;
 
     /// One canonical row pair (`dst1` present) or single row through
     /// the `isa` shim. Per-dtype so each canonical body is compiled
@@ -231,19 +217,6 @@ pub trait NativeElement: Element {
         pf: Prefetch,
     );
 
-    /// Streams `n` elements from `src` to 32-byte-aligned `dst` with
-    /// non-temporal stores (`n * size_of::<Self>()` must be a multiple
-    /// of 32). The per-dtype primitive under the generic staged-NT
-    /// drain (`super::hybrid`).
-    ///
-    /// # Safety
-    ///
-    /// `dst` must be 32-byte aligned, both ranges valid for `n`
-    /// elements, and the host must support AVX (implied by the AVX2
-    /// gate on every staged path).
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn stream_chunk(dst: *mut Self, src: *const Self, n: usize);
-
     /// The process-wide arena of reusable temporal-executor scratch
     /// slots for this dtype — per-dtype storage for
     /// [`super::temporal`]'s allocation reuse, not a public API.
@@ -256,12 +229,6 @@ impl NativeElement for f64 {
     type Ymm = std::arch::x86_64::__m256d;
     #[cfg(target_arch = "x86_64")]
     type Zmm = std::arch::x86_64::__m512d;
-    type KHybrid = HybridTile;
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn stream_chunk(dst: *mut Self, src: *const Self, n: usize) {
-        stream_chunk_pd(dst, src, n);
-    }
 
     #[cfg(target_arch = "x86_64")]
     unsafe fn canonical_rows(
@@ -300,12 +267,6 @@ impl NativeElement for f32 {
     type Ymm = std::arch::x86_64::__m256;
     #[cfg(target_arch = "x86_64")]
     type Zmm = std::arch::x86_64::__m512;
-    type KHybrid = HybridTile;
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn stream_chunk(dst: *mut Self, src: *const Self, n: usize) {
-        stream_chunk_ps(dst, src, n);
-    }
 
     #[cfg(target_arch = "x86_64")]
     unsafe fn canonical_rows(
@@ -339,34 +300,6 @@ impl NativeElement for f32 {
     }
 }
 
-/// # Safety
-/// `dst` 32-byte aligned, `n` a multiple of 4, both ranges valid.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn stream_chunk_pd(dst: *mut f64, src: *const f64, n: usize) {
-    use std::arch::x86_64::*;
-    let mut i = 0usize;
-    while i + 4 <= n {
-        _mm256_stream_pd(dst.add(i), _mm256_loadu_pd(src.add(i)));
-        i += 4;
-    }
-    debug_assert_eq!(i, n);
-}
-
-/// # Safety
-/// `dst` 32-byte aligned, `n` a multiple of 8, both ranges valid.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn stream_chunk_ps(dst: *mut f32, src: *const f32, n: usize) {
-    use std::arch::x86_64::*;
-    let mut i = 0usize;
-    while i + 8 <= n {
-        _mm256_stream_ps(dst.add(i), _mm256_loadu_ps(src.add(i)));
-        i += 8;
-    }
-    debug_assert_eq!(i, n);
-}
-
 /// The canonical scalar-chain instance (every dtype, every host).
 #[derive(Clone, Copy, Debug)]
 pub struct ScalarTile;
@@ -376,16 +309,9 @@ pub struct ScalarTile;
 pub struct Avx2Tile;
 
 /// The AVX-512F register-pair instance (double the AVX2 lane count;
-/// runtime-detected, never chosen by auto-heuristics — reach it via
-/// `HSTENCIL_DISPATCH=avx512`, the tuner, or explicit dispatch).
+/// runtime-detected, and the default wherever the host has `avx512f`).
 #[derive(Clone, Copy, Debug)]
 pub struct Avx512Tile;
-
-/// The hybrid 8-row Algorithm-2 instance (vertical rank-1 broadcast-FMA
-/// interleaved with inner-tap vector MLA, staged NT stores on streaming
-/// bands).
-#[derive(Clone, Copy, Debug)]
-pub struct HybridTile;
 
 impl<E: Element> TileKernel<E> for ScalarTile {
     const NAME: &'static str = "scalar";
@@ -579,117 +505,6 @@ impl<E: Element> TileKernel<E> for Avx512Tile {
     }
 }
 
-impl TileKernel<f64> for HybridTile {
-    const NAME: &'static str = "hybrid8x8";
-
-    fn config() -> Config {
-        Config { tile_m: 8 }
-    }
-
-    fn available() -> bool {
-        true // scalar-chain fallback inside sweep_band_hybrid
-    }
-
-    unsafe fn execute(
-        taps: &Taps2<f64>,
-        a: &[f64],
-        base: isize,
-        stride: isize,
-        dst0: &mut [f64],
-        dst1: Option<&mut [f64]>,
-        _pf: Prefetch,
-    ) {
-        hybrid::scalar_row_hybrid(&taps.hybrid, a, base, stride, dst0);
-        if let Some(d1) = dst1 {
-            hybrid::scalar_row_hybrid(&taps.hybrid, a, base + stride, stride, d1);
-        }
-    }
-
-    fn sweep_band(
-        taps: &Taps2<f64>,
-        a: &[f64],
-        a_org: isize,
-        a_stride: isize,
-        w: usize,
-        dst: &mut [f64],
-        b_stride: usize,
-        i_lo: usize,
-        i_hi: usize,
-        lanes: usize,
-    ) {
-        // The hybrid schedule owns its own column tiling (its
-        // rows-in-flight differ), accumulation order and store policy.
-        hybrid::sweep_band_hybrid(
-            &taps.hybrid,
-            a,
-            a_org,
-            a_stride,
-            w,
-            dst,
-            b_stride,
-            i_lo,
-            i_hi,
-            lanes,
-        );
-    }
-}
-
-impl TileKernel<f32> for HybridTile {
-    const NAME: &'static str = "hybrid8x8";
-
-    fn config() -> Config {
-        Config { tile_m: 8 }
-    }
-
-    fn available() -> bool {
-        true
-    }
-
-    unsafe fn execute(
-        taps: &Taps2<f32>,
-        a: &[f32],
-        base: isize,
-        stride: isize,
-        dst0: &mut [f32],
-        dst1: Option<&mut [f32]>,
-        _pf: Prefetch,
-    ) {
-        hybrid::scalar_row_hybrid(&taps.hybrid, a, base, stride, dst0);
-        if let Some(d1) = dst1 {
-            hybrid::scalar_row_hybrid(&taps.hybrid, a, base + stride, stride, d1);
-        }
-    }
-
-    fn sweep_band(
-        taps: &Taps2<f32>,
-        a: &[f32],
-        a_org: isize,
-        a_stride: isize,
-        w: usize,
-        dst: &mut [f32],
-        b_stride: usize,
-        i_lo: usize,
-        i_hi: usize,
-        lanes: usize,
-    ) {
-        // f32 has no vectorized 8x8 body yet: the hybrid *schedule*
-        // (scalar chain + the generic staged-NT drain) still runs, so
-        // the store-policy machinery is exercised over E = f32.
-        hybrid::sweep_band_hybrid_staged::<f32>(
-            &taps.hybrid,
-            a,
-            a_org,
-            a_stride,
-            w,
-            dst,
-            b_stride,
-            i_lo,
-            i_hi,
-            lanes,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -703,7 +518,6 @@ mod tests {
             )
         }
         assert_eq!(rows::<ScalarTile>(), (1, 1));
-        assert_eq!(rows::<HybridTile>(), (8, 8));
         #[cfg(target_arch = "x86_64")]
         {
             // Both SIMD instances register-block output row pairs.

@@ -32,7 +32,6 @@
 //!
 //! [`TileKernel::sweep_band`]: super::kernel::TileKernel::sweep_band
 
-use super::hybrid;
 use super::kernel::{Avx2Tile, Avx512Tile, NativeElement, ScalarTile, TileKernel};
 #[cfg(target_arch = "x86_64")]
 use super::lane::Lane;
@@ -128,10 +127,6 @@ impl<E: Element> Chain<E> {
 pub struct Taps2<E: Element> {
     /// The canonical chain, every tap at plane offset `dk = 0`.
     pub(crate) chain: Chain<E>,
-    /// The same taps split for the hybrid 8×8 register-tile schedule
-    /// ([`super::hybrid`]): vertical rank-1 coefficients + inner MLA
-    /// taps.
-    pub(crate) hybrid: hybrid::TapsHybrid<E>,
 }
 
 impl<E: Element> Taps2<E> {
@@ -140,7 +135,6 @@ impl<E: Element> Taps2<E> {
         let r = spec.radius() as isize;
         Taps2 {
             chain: Chain::new(r, 0..=0, |_, di, dj| spec.c2(di, dj)),
-            hybrid: hybrid::TapsHybrid::new(spec),
         }
     }
 
@@ -239,25 +233,19 @@ pub(crate) fn sweep_band_2d<E: NativeElement>(
     b_stride: usize,
     i_lo: usize,
     i_hi: usize,
-    lanes: usize,
 ) {
-    match dispatch {
+    match dispatch.row().dispatch {
         Dispatch::Scalar => <ScalarTile as TileKernel<E>>::sweep_band(
-            taps, a, a_org, a_stride, w, dst, b_stride, i_lo, i_hi, lanes,
+            taps, a, a_org, a_stride, w, dst, b_stride, i_lo, i_hi,
         ),
-        // The reuse variants are aliases of the canonical kernels.
-        Dispatch::Avx2Fma | Dispatch::Avx2Reuse => <Avx2Tile as TileKernel<E>>::sweep_band(
-            taps, a, a_org, a_stride, w, dst, b_stride, i_lo, i_hi, lanes,
+        Dispatch::Avx2Fma => <Avx2Tile as TileKernel<E>>::sweep_band(
+            taps, a, a_org, a_stride, w, dst, b_stride, i_lo, i_hi,
         ),
-        Dispatch::Avx512 | Dispatch::Avx512Reuse => <Avx512Tile as TileKernel<E>>::sweep_band(
-            taps, a, a_org, a_stride, w, dst, b_stride, i_lo, i_hi, lanes,
-        ),
-        Dispatch::Hybrid => E::KHybrid::sweep_band(
-            taps, a, a_org, a_stride, w, dst, b_stride, i_lo, i_hi, lanes,
+        Dispatch::Avx512 => <Avx512Tile as TileKernel<E>>::sweep_band(
+            taps, a, a_org, a_stride, w, dst, b_stride, i_lo, i_hi,
         ),
         // The tempvec family drives its own row loop (per-row source
-        // pointers rather than an affine tile walk); `lanes` only
-        // feeds prefetch hints, which this family does not issue.
+        // pointers rather than an affine tile walk).
         Dispatch::TempVec => super::tempvec::sweep_band(
             super::tempvec::TvIsa::best(),
             taps,
@@ -270,6 +258,7 @@ pub(crate) fn sweep_band_2d<E: NativeElement>(
             i_lo,
             i_hi,
         ),
+        alias => unreachable!("Dispatch::row resolves the alias {alias:?}"),
     }
 }
 
@@ -707,7 +696,6 @@ mod tests {
             w,
             0,
             h,
-            1,
         );
     }
 }

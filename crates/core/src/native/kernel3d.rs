@@ -65,12 +65,9 @@ pub(crate) fn sweep_band_3d<E: NativeElement>(
         Dispatch::Scalar => drive3::<E, ScalarTile>,
         Dispatch::Avx2Fma => drive3::<E, Avx2Tile>,
         Dispatch::Avx512 => drive3::<E, Avx512Tile>,
-        // The hybrid register tile and the temporally-vectorized family
-        // are 2-D only, and the reuse variants are aliases; the 3-D
-        // entry points narrow them all away before the kernel.
-        Dispatch::Hybrid | Dispatch::Avx2Reuse | Dispatch::Avx512Reuse | Dispatch::TempVec => {
-            unreachable!("Dispatch::narrow_3d maps non-canonical dispatches before kernel3d")
-        }
+        // The temporally-vectorized family is 2-D only and the aliases
+        // are not kernels; the 3-D entry points narrow both away.
+        d => unreachable!("Dispatch::narrow_3d maps {d:?} to a canonical kernel before kernel3d"),
     };
     drive(
         taps,

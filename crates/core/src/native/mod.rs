@@ -27,52 +27,39 @@
 //!    the next input rows and the destination store stream (the paper's
 //!    Algorithm 3 analogue) at fixed distances, never on the scalar
 //!    path.
-//! 6. **Hybrid 8×8 register-tile kernel** (`hybrid`, DESIGN.md §10) —
-//!    [`Dispatch::Hybrid`] keeps a full 8×8 output tile in sixteen ymm
-//!    accumulators, interleaving broadcast-FMA rank-1 updates (vertical
-//!    taps) with shifted-load vector MLA (inner taps) per the paper's
-//!    Algorithm 2, store-scattering rows as they complete — through a
-//!    non-temporal staging drain on streaming bands. Bit-identical to
-//!    itself across every decomposition, ULP-bounded vs the canonical
-//!    chain.
-//! 7. **Seeded autotuner** ([`tune`]) — per (pattern, radius, shape
-//!    class, dtype, thread count) plan cache choosing kernel + temporal
-//!    geometry from a deterministic seeded micro-benchmark, persisted
-//!    to `target/hstencil-tune.json`; `HSTENCIL_TUNE=off|force|<path>`
-//!    overrides, `off` restoring heuristic dispatch bit-for-bit.
-//! 8. **Multi-core scaling as a first-class axis** (DESIGN.md §11) —
+//! 6. **Multi-core scaling as a first-class axis** (DESIGN.md §11) —
 //!    band splits are balanced ([`lane_span`]: lane loads differ by at
-//!    most one row, never an idle lane), the hybrid kernel's NT-store
-//!    choice is lane-aware (`hybrid`), and
-//!    `HSTENCIL_THREADS` ([`threads`]) pins the lane count of every
-//!    auto entry point. Thread count can never change results — every
-//!    kernel is invariant to band decomposition.
-//! 9. **Backend-generic tile kernels** ([`kernel`], DESIGN.md §12) —
-//!    every micro-kernel is an instance of the `TileKernel<E>` trait
-//!    (scalar, AVX2+FMA, AVX-512, hybrid 8×8) over an
-//!    [`Element`] type (`f64` or `f32`), so
-//!    one generic band driver serves every (kernel × dtype) pair.
-//!    [`Dispatch::Avx512`] is runtime-detected and deliberately kept
-//!    *out* of the auto heuristics (recorded plans and goldens stay
-//!    byte-stable); it is reachable via [`Dispatch::candidates`], the
-//!    `HSTENCIL_DISPATCH` pin, the conformance registry and the bench
-//!    harness.
-//! 10. **One kernel table** — every kernel [`Dispatch`] can run is one
-//!     row of a static table (label, env spellings, required ISA,
-//!     canonical chain — which also decides a 3-D body);
-//!     [`Dispatch::label`], the env parsers, [`Dispatch::candidates`]
-//!     and the 3-D narrowing all read it. The
-//!     standalone shifted-register reuse kernels (the paper's §3.2 EXT
-//!     idiom on x86) were retired because they measured slower than
-//!     the shifted-load kernels (DESIGN.md §14); the hybrid kernel keeps
-//!     the idiom for its inner taps. [`Dispatch::Avx2Reuse`] and
-//!     [`Dispatch::Avx512Reuse`] remain as aliases of the AVX2 and
-//!     AVX-512 kernels, with no row of their own.
+//!    most one row, never an idle lane), and `HSTENCIL_THREADS`
+//!    ([`threads`]) pins the lane count of every auto entry point.
+//!    Thread count can never change results — every kernel is
+//!    invariant to band decomposition.
+//! 7. **Backend-generic tile kernels** ([`kernel`], DESIGN.md §12) —
+//!    every canonical micro-kernel is an instance of the
+//!    `TileKernel<E>` trait (scalar, AVX2+FMA, AVX-512) over an
+//!    [`Element`] type (`f64` or `f32`), so one generic band driver
+//!    serves every (kernel × dtype) pair.
+//! 8. **One kernel table** — every kernel [`Dispatch`] can run is one
+//!    row of a static table (label, env spellings, required ISA,
+//!    canonical chain — which also decides a 3-D body);
+//!    [`Dispatch::label`], the env parsers, [`Dispatch::candidates`],
+//!    [`Dispatch::detect`] and the 3-D narrowing all read it. Retired
+//!    kernels keep their [`Dispatch`] variant as an alias with no row
+//!    of its own: [`Dispatch::Avx2Reuse`] and [`Dispatch::Avx512Reuse`]
+//!    (the standalone shifted-register reuse kernels, DESIGN.md §14)
+//!    run the AVX2 and AVX-512 kernels, and [`Dispatch::Hybrid`] (the
+//!    hybrid 8×8 register tile, DESIGN.md §10) runs
+//!    [`Dispatch::detect`]'s kernel.
 //!
-//! Dispatch is size-aware ([`Dispatch::for_width`]) and can be pinned
-//! with `HSTENCIL_DISPATCH=scalar|avx2|avx512|hybrid|tempvec` — the
-//! canonical-chain paths stay bit-identical either way, the override
-//! only changes speed.
+//! # One dispatch rule
+//!
+//! Every default entry point resolves its kernel the same way
+//! ([`Dispatch::for_width`]): the `HSTENCIL_DISPATCH` pin
+//! (`scalar|avx2|avx512|tempvec`) if set, otherwise the scalar chain
+//! for rows narrower than 4 columns, otherwise the widest canonical
+//! kernel this host runs ([`Dispatch::detect`], the last entry of
+//! [`Dispatch::candidates`]: `avx512` where `avx512f` exists, else
+//! `avx2+fma`, else `scalar`). The canonical kernels are bit-identical,
+//! so the rule and the pin only ever change speed.
 //!
 //! The seed executor is preserved in [`baseline`] and timed side by side
 //! in `BENCH_native.json` (see `crates/bench/benches/native.rs`), the
@@ -89,10 +76,8 @@ pub mod prefetch;
 pub mod temporal;
 pub mod tempvec;
 pub mod threads;
-pub mod tune;
 
 mod env;
-mod hybrid;
 mod kernel2d;
 mod kernel3d;
 #[cfg(target_arch = "x86_64")]
@@ -101,7 +86,7 @@ mod tile;
 
 pub use kernel::{NativeElement, TileKernel};
 pub use prefetch::Prefetch;
-pub use temporal::{time_steps_temporal, time_steps_temporal_in, Temporal};
+pub use temporal::{time_steps_temporal, time_steps_temporal_in, ShapeClass, Temporal};
 
 use crate::element::{Dtype, Element};
 use crate::grid::{Grid2dT, Grid3dT, GridError};
@@ -114,9 +99,8 @@ use std::sync::{Mutex, OnceLock};
 /// Which micro-kernel family executes a sweep. [`Dispatch::Scalar`],
 /// [`Dispatch::Avx2Fma`] and [`Dispatch::Avx512`] compute the identical
 /// FMA chain per element, so they agree bit-for-bit within one element
-/// type; [`Dispatch::Hybrid`] uses the paper's Algorithm 2 accumulation
-/// order (see `hybrid`) — internally decomposition-invariant, but
-/// ULP-bounded (not bit-exact) against the canonical chain.
+/// type; [`Dispatch::TempVec`] reassociates the chain and is
+/// ULP-bounded against it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Dispatch {
     /// Portable `mul_add` chain (single rounding per tap).
@@ -125,17 +109,15 @@ pub enum Dispatch {
     Avx2Fma,
     /// AVX-512F register-blocked kernels: 8-wide f64 / 16-wide f32
     /// zmm lanes, same canonical FMA chain (x86-64 with `avx512f`
-    /// only). Deliberately excluded from the auto heuristics
-    /// ([`Dispatch::detect`] / [`Dispatch::for_width`] /
-    /// [`Dispatch::for_sweep`]) so recorded tune plans, goldens and
-    /// bench baselines stay byte-stable across hosts; pin it via
-    /// `HSTENCIL_DISPATCH=avx512` or select it explicitly. Runs 2-D and
-    /// 3-D sweeps.
+    /// only). The default ([`Dispatch::detect`]) wherever the host has
+    /// `avx512f`. Runs 2-D and 3-D sweeps.
     Avx512,
-    /// Hybrid 8×8 register-tile schedule (Algorithm 2: rank-1 vertical
-    /// updates + inner MLA + in-place fold + store scattering). 2-D
-    /// only; has a bit-identical scalar fallback, so it runs on every
-    /// host.
+    /// Alias of [`Dispatch::detect`], kept so existing callers still
+    /// build. It named the retired hybrid 8×8 register-tile kernel
+    /// (DESIGN.md §10), which lost to the canonical AVX-512 body on
+    /// every measured case. It has no kernel-table row, env spelling or
+    /// candidate slot; it runs, and its [`Dispatch::label`] is, the
+    /// widest canonical kernel this host runs.
     Hybrid,
     /// Alias of [`Dispatch::Avx2Fma`], kept so existing callers still
     /// build. It named the retired shifted-register reuse kernel
@@ -154,9 +136,9 @@ pub enum Dispatch {
     /// scalar, AVX2 and AVX-512 bodies (the family picks the widest
     /// the host carries; all bodies agree bit-for-bit with each
     /// other). Reassociated relative to the canonical chain, so
-    /// ULP-bounded like [`Dispatch::Hybrid`] — opt-in via the tuner or
-    /// `HSTENCIL_DISPATCH=tempvec`, never an auto pick. 2-D only (3-D
-    /// narrows to [`Dispatch::detect`]).
+    /// ULP-bounded — opt-in via `HSTENCIL_DISPATCH=tempvec` or an
+    /// explicit dispatch, never an auto pick. 2-D only (3-D narrows to
+    /// [`Dispatch::detect`]).
     TempVec,
 }
 
@@ -193,7 +175,7 @@ impl Isa {
 /// One kernel [`Dispatch`] can run.
 struct KernelRow {
     dispatch: Dispatch,
-    /// Stable label for reports, tune plans and `BENCH_native.json`.
+    /// Stable label for reports and `BENCH_native.json`.
     label: &'static str,
     /// `HSTENCIL_DISPATCH` spellings (lowercase; the first is the one
     /// the malformed-pin warning lists, and the label is always among
@@ -207,10 +189,12 @@ struct KernelRow {
     canonical: bool,
 }
 
-/// Every kernel, one row each, in [`Dispatch::candidates`] order. The
-/// label, env parsing, candidate list and 3-D narrowing all read this
-/// table; the alias variants have no row of their own.
-const KERNELS: [KernelRow; 5] = [
+/// Every kernel, one row each, canonical rows narrowest first (the
+/// [`Dispatch::candidates`] order, whose last entry is
+/// [`Dispatch::detect`]). The label, env parsing, candidate list,
+/// default pick and 3-D narrowing all read this table; the alias
+/// variants have no row of their own.
+const KERNELS: [KernelRow; 4] = [
     KernelRow {
         dispatch: Dispatch::Scalar,
         label: "scalar",
@@ -233,18 +217,10 @@ const KERNELS: [KernelRow; 5] = [
         canonical: true,
     },
     KernelRow {
-        dispatch: Dispatch::Hybrid,
-        label: "hybrid8x8",
-        spellings: &["hybrid", "hybrid8x8"],
-        // Bit-identical scalar fallback, so the pin runs everywhere.
-        isa: Isa::Any,
-        canonical: false,
-    },
-    KernelRow {
         dispatch: Dispatch::TempVec,
         label: "tempvec",
         spellings: &["tempvec"],
-        // Like hybrid, tempvec has a bit-identical scalar body.
+        // A bit-identical scalar body, so the pin runs everywhere.
         isa: Isa::Any,
         canonical: false,
     },
@@ -257,11 +233,14 @@ fn row_spelled(v: &str) -> Option<&'static KernelRow> {
 
 impl Dispatch {
     /// This dispatch's kernel-table row; the alias variants resolve to
-    /// their target's row.
+    /// their target's row. The one place aliases are resolved: the
+    /// kernel matches in `kernel2d` and `kernel3d` see only row
+    /// dispatches.
     fn row(self) -> &'static KernelRow {
         let d = match self {
             Dispatch::Avx2Reuse => Dispatch::Avx2Fma,
             Dispatch::Avx512Reuse => Dispatch::Avx512,
+            Dispatch::Hybrid => Dispatch::detect(),
             d => d,
         };
         KERNELS
@@ -295,22 +274,26 @@ impl Dispatch {
         }
     }
 
-    /// The best dispatch for this machine (what the plain `apply_*`
-    /// entry points use). AVX-512 is deliberately not auto-selected —
-    /// see [`Dispatch::Avx512`].
+    /// The widest canonical kernel this machine runs — the last entry
+    /// of [`Dispatch::candidates`]: `avx512` where `avx512f` exists,
+    /// else `avx2+fma`, else `scalar`. What the plain `apply_*` entry
+    /// points run on rows of at least 4 columns
+    /// ([`Dispatch::for_width`]).
     pub fn detect() -> Dispatch {
-        if Dispatch::avx2_available() {
-            Dispatch::Avx2Fma
-        } else {
-            Dispatch::Scalar
-        }
+        KERNELS
+            .iter()
+            .rev()
+            .find(|k| k.canonical && k.isa.available())
+            .expect("the scalar chain runs everywhere")
+            .dispatch
     }
 
-    /// The bit-identical dispatches runnable on this machine (scalar
-    /// first). The property suite cross-checks all of them for
-    /// bit-identity; [`Dispatch::Hybrid`] is deliberately *not* listed
-    /// — its accumulation order differs, so it is checked separately
-    /// (ULP-bounded) by `native_hybrid` and the conformance registry.
+    /// The bit-identical dispatches runnable on this machine, narrowest
+    /// first, so [`Dispatch::detect`] is the last. The property suite
+    /// cross-checks all of them for bit-identity; [`Dispatch::TempVec`]
+    /// is deliberately *not* listed — its accumulation order differs,
+    /// so it is checked separately (ULP-bounded) by `native_tempvec`
+    /// and the conformance registry.
     pub fn candidates() -> Vec<Dispatch> {
         KERNELS
             .iter()
@@ -326,11 +309,11 @@ impl Dispatch {
     }
 
     /// Parses an `HSTENCIL_DISPATCH` value: any kernel-table spelling
-    /// (`scalar`, `avx2`, `avx512`, `hybrid`, `tempvec`, or a label)
-    /// pins the path, `auto` (or empty) keeps the size-aware heuristic.
-    /// Pinning an ISA path on a machine without the ISA is ignored
-    /// rather than deferred to a later kernel panic (`hybrid` and
-    /// `tempvec` are fine everywhere — they have scalar fallbacks).
+    /// (`scalar`, `avx2`, `avx512`, `tempvec`, or a label) pins the
+    /// path, `auto` (or empty) keeps the size-aware heuristic. Pinning
+    /// an ISA path on a machine without the ISA is ignored rather than
+    /// deferred to a later kernel panic (`tempvec` is fine everywhere —
+    /// it has a scalar body).
     pub fn from_env_str(v: &str) -> Option<Dispatch> {
         row_spelled(&v.trim().to_ascii_lowercase())
             .filter(|k| k.isa.available())
@@ -376,81 +359,45 @@ impl Dispatch {
         })
     }
 
-    /// Size-aware dispatch for a sweep over rows of `w` interior
-    /// columns: rows too narrow to fill even one 4-lane vector step run
-    /// the scalar chain directly (the vector kernel would do the same
-    /// element-by-element tail work with extra per-row overhead),
-    /// everything else takes the AVX2 path when available. Both
-    /// choices are bit-identical, so the heuristic — and the
-    /// `HSTENCIL_DISPATCH` override that trumps it — can never change a
-    /// result.
+    /// The one dispatch rule, for a sweep over rows of `w` interior
+    /// columns: the `HSTENCIL_DISPATCH` pin if set; otherwise the
+    /// scalar chain for rows too narrow to fill even one 4-lane vector
+    /// step (a vector kernel would do the same element-by-element tail
+    /// work with extra per-row overhead); otherwise the widest
+    /// canonical kernel this host runs ([`Dispatch::detect`]). The
+    /// canonical kernels are bit-identical, so neither the rule nor the
+    /// pin can ever change a result.
     pub fn for_width(w: usize) -> Dispatch {
         if let Some(d) = Dispatch::env_override() {
             return d;
         }
-        if w < 4 || !Dispatch::avx2_available() {
+        if w < 4 {
             Dispatch::Scalar
         } else {
-            Dispatch::Avx2Fma
+            Dispatch::detect()
         }
     }
 
     /// Dispatch for one 2-D sweep of `spec` over an `h x w` grid of
-    /// `dtype` elements split across `threads` lanes, in precedence
-    /// order:
-    ///
-    /// 1. the `HSTENCIL_DISPATCH` env pin,
-    /// 2. the autotuner's cached plan for this (pattern, radius,
-    ///    shape-class, dtype, thread-count) key ([`tune::plan_for`]) —
-    ///    a dispatch tuned single-threaded never silently governs a
-    ///    saturated sweep,
-    /// 3. with tuning enabled but no plan recorded: the hybrid 8×8
-    ///    kernel for streaming (out-of-cache) f64 shapes wide enough to
-    ///    vector-tile — the measured win on the recorded bench host.
-    ///    f32 sweeps skip this arm: the hybrid tile has no f32 vector
-    ///    body yet (DESIGN.md §12), so the canonical AVX2 kernel is the
-    ///    faster choice there,
-    /// 4. the PR 4 width heuristic ([`Dispatch::for_width`]).
-    ///
-    /// `HSTENCIL_TUNE=off` disables steps 2 *and* 3, restoring the PR 4
-    /// decision tree bit-for-bit.
+    /// `dtype` elements split across `threads` lanes: the one rule of
+    /// [`Dispatch::for_width`], which only the row width decides. The
+    /// full shape stays in the signature so every caller resolves a
+    /// sweep's dispatch the same way whatever the rule reads.
     pub fn for_sweep_dtype(
-        spec: &StencilSpec,
-        h: usize,
+        _spec: &StencilSpec,
+        _h: usize,
         w: usize,
-        threads: usize,
-        dtype: Dtype,
+        _threads: usize,
+        _dtype: Dtype,
     ) -> Dispatch {
-        if let Some(d) = Dispatch::env_override() {
-            return d;
-        }
-        if spec.dims() == 2 && tune::enabled() {
-            if let Some(plan) = tune::plan_for(spec, h, w, threads, dtype) {
-                return plan.dispatch;
-            }
-            if dtype == Dtype::F64
-                && Dispatch::avx2_available()
-                && w >= 8
-                && tune::ShapeClass::of_dtype(h, w, dtype) == tune::ShapeClass::Streaming
-            {
-                return Dispatch::Hybrid;
-            }
-        }
         Dispatch::for_width(w)
     }
 
-    /// [`Dispatch::for_sweep_dtype`] at the reference `f64` precision —
-    /// the decision every pre-existing call site takes, byte-identical
-    /// to its pre-dtype behavior.
-    pub fn for_sweep(spec: &StencilSpec, h: usize, w: usize, threads: usize) -> Dispatch {
-        Dispatch::for_sweep_dtype(spec, h, w, threads, Dtype::F64)
-    }
-
     /// Maps dispatches to a kernel with a 3-D body: the non-canonical
-    /// kernels (hybrid, tempvec) fall back to the best canonical
-    /// kernel, and aliases resolve to their target. The 3-D entry
-    /// points apply this, keeping [`kernel3d`]'s dispatch match to the
-    /// canonical kernels.
+    /// kernel (tempvec) falls back to the best canonical kernel, and
+    /// aliases resolve to their target. The 3-D entry points apply
+    /// this, keeping [`kernel3d`]'s dispatch match to the canonical
+    /// kernels.
     fn narrow_3d(self) -> Dispatch {
         let row = self.row();
         if row.canonical {
@@ -473,9 +420,8 @@ fn assert_shapes_3d<E: Element>(spec: &StencilSpec, a: &Grid3dT<E>, b: &Grid3dT<
         .unwrap_or_else(|e| panic!("native 3-D sweep: {e}"));
 }
 
-/// One sweep of a 2-D stencil, single-threaded, best dispatch for the
-/// stencil, grid shape and element type ([`Dispatch::for_sweep_dtype`]
-/// — tuned plan or heuristic).
+/// One sweep of a 2-D stencil, single-threaded, on the dispatch the one
+/// rule picks ([`Dispatch::for_sweep_dtype`]).
 pub fn apply_2d<E: NativeElement>(spec: &StencilSpec, a: &Grid2dT<E>, b: &mut Grid2dT<E>) {
     apply_2d_with(
         Dispatch::for_sweep_dtype(spec, a.h(), a.w(), 1, E::DTYPE),
@@ -519,7 +465,7 @@ pub fn apply_2d_with<E: NativeElement>(
     let end = b_org + (h - 1) * b_stride + w;
     let dst = &mut b.raw_mut()[b_org..end];
     kernel2d::sweep_band_2d(
-        dispatch, &taps, a_raw, a_org, a_stride, w, dst, b_stride, 0, h, 1,
+        dispatch, &taps, a_raw, a_org, a_stride, w, dst, b_stride, 0, h,
     );
 }
 
@@ -615,7 +561,7 @@ pub fn apply_2d_parallel_in<E: NativeElement>(
         if let Some(band) = band {
             kernel2d::sweep_band_2d(
                 dispatch, &taps, a_raw, a_org, a_stride, w, band.dst, b_stride, band.i_lo,
-                band.i_hi, lanes,
+                band.i_hi,
             );
         }
     });
@@ -936,7 +882,7 @@ mod tests {
     }
 
     #[test]
-    fn f32_parallel_and_hybrid_match_their_serial_chains() {
+    fn f32_parallel_matches_the_serial_chain() {
         let spec = presets::box2d25p();
         let a = Grid2dT::<f32>::convert_from(&random_grid(64, 48, 2, 11));
         let mut serial = Grid2dT::<f32>::zeros(64, 48, 2);
@@ -945,22 +891,6 @@ mod tests {
             let mut par = Grid2dT::<f32>::zeros(64, 48, 2);
             apply_2d_parallel(&spec, &a, &mut par, threads);
             assert_eq!(serial.max_interior_diff(&par), 0.0, "threads={threads}");
-        }
-        // The f32 hybrid path (scalar chain + generic staged stores) is
-        // decomposition-invariant too.
-        let mut hy1 = Grid2dT::<f32>::zeros(64, 48, 2);
-        apply_2d_with(Dispatch::Hybrid, &spec, &a, &mut hy1);
-        for threads in [2, 5] {
-            let mut hyn = Grid2dT::<f32>::zeros(64, 48, 2);
-            apply_2d_parallel_in(
-                ThreadPool::global(),
-                Dispatch::Hybrid,
-                &spec,
-                &a,
-                &mut hyn,
-                threads,
-            );
-            assert_eq!(hy1.max_interior_diff(&hyn), 0.0, "threads={threads}");
         }
     }
 
@@ -1136,17 +1066,28 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_for_width_prefers_scalar_below_one_vector() {
+    fn dispatch_for_width_is_scalar_below_4_columns_and_the_widest_kernel_otherwise() {
         // Without an env override (none is set under `cargo test`),
-        // sub-vector rows go scalar; wide rows take SIMD when present.
-        // AVX-512 is never the auto pick even where available.
-        assert_eq!(Dispatch::for_width(2), Dispatch::Scalar);
-        assert_eq!(Dispatch::for_width(3), Dispatch::Scalar);
-        if Dispatch::avx2_available() {
-            assert_eq!(Dispatch::for_width(4096), Dispatch::Avx2Fma);
-        } else {
-            assert_eq!(Dispatch::for_width(4096), Dispatch::Scalar);
+        // rows narrower than one 4-lane step go scalar and every other
+        // width runs the widest canonical kernel this host runs.
+        for w in [0usize, 1, 2, 3] {
+            assert_eq!(Dispatch::for_width(w), Dispatch::Scalar, "w={w}");
         }
+        for w in [4usize, 7, 8, 40, 4096] {
+            assert_eq!(Dispatch::for_width(w), Dispatch::detect(), "w={w}");
+        }
+        // The widest canonical kernel is the last candidate: avx512
+        // where avx512f exists, else avx2+fma, else scalar.
+        let widest = Dispatch::candidates().last().copied();
+        assert_eq!(Some(Dispatch::detect()), widest);
+        let want = if Dispatch::avx512_available() {
+            Dispatch::Avx512
+        } else if Dispatch::avx2_available() {
+            Dispatch::Avx2Fma
+        } else {
+            Dispatch::Scalar
+        };
+        assert_eq!(Dispatch::detect(), want);
     }
 
     #[test]
@@ -1156,8 +1097,9 @@ mod tests {
         assert_eq!(Dispatch::from_env_str("auto"), None);
         assert_eq!(Dispatch::from_env_str(""), None);
         assert_eq!(Dispatch::from_env_str("bogus"), None);
-        assert_eq!(Dispatch::from_env_str("hybrid"), Some(Dispatch::Hybrid));
-        assert_eq!(Dispatch::from_env_str("HYBRID8x8"), Some(Dispatch::Hybrid));
+        // The retired hybrid kernel's spellings pin nothing.
+        assert_eq!(Dispatch::from_env_str("hybrid"), None);
+        assert_eq!(Dispatch::from_env_str("HYBRID8x8"), None);
         // Tempvec is pinnable everywhere (scalar body fallback).
         assert_eq!(Dispatch::from_env_str("tempvec"), Some(Dispatch::TempVec));
         assert_eq!(Dispatch::from_env_str(" TempVec "), Some(Dispatch::TempVec));
@@ -1193,7 +1135,7 @@ mod tests {
             }
         }
         // The aliases have no row of their own.
-        for alias in [Dispatch::Avx2Reuse, Dispatch::Avx512Reuse] {
+        for alias in [Dispatch::Avx2Reuse, Dispatch::Avx512Reuse, Dispatch::Hybrid] {
             assert!(KERNELS.iter().all(|k| k.dispatch != alias));
         }
     }
@@ -1210,7 +1152,7 @@ mod tests {
         assert_eq!(Dispatch::from_env_str_warn("auto"), (None, None));
         assert_eq!(Dispatch::from_env_str_warn(""), (None, None));
         assert!(Dispatch::from_env_str_warn("scalar").1.is_none());
-        assert!(Dispatch::from_env_str_warn("hybrid").1.is_none());
+        assert!(Dispatch::from_env_str_warn("tempvec").1.is_none());
         if !Dispatch::avx2_available() {
             // Requesting a path the host lacks is a named warning too.
             let (p, w) = Dispatch::from_env_str_warn("avx2");

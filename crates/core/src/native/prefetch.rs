@@ -13,11 +13,10 @@
 //! architectural state (the machine-model counterpart is pinned by
 //! `crates/machine/tests/prefetch_transparency.rs`) — so it cannot
 //! affect results. It is still wired **only** into the 2-D SIMD sweeps
-//! (the AVX2 and AVX-512 canonical bodies and the hybrid tile, at
-//! [`Prefetch::DEFAULT`]): the scalar fallback stays a pure `mul_add`
-//! chain with no `std::arch` calls at all, keeping the bit-identity
-//! contract between the paths trivially auditable, and 3-D sweeps run
-//! [`Prefetch::OFF`].
+//! (the AVX2 and AVX-512 canonical bodies, at [`Prefetch::DEFAULT`]):
+//! the scalar fallback stays a pure `mul_add` chain with no `std::arch`
+//! calls at all, keeping the bit-identity contract between the paths
+//! trivially auditable, and 3-D sweeps run [`Prefetch::OFF`].
 
 /// Prefetch distances for the SIMD sweep kernels. `input_rows == 0`
 /// and `dst_cols == 0` mean "emit no prefetch".

@@ -69,14 +69,15 @@ use super::kernel2d::{self, Taps2};
 use super::pool::ThreadPool;
 use super::tile;
 use super::Dispatch;
+use crate::element::Dtype;
 use crate::grid::Grid2dT;
 use crate::stencil::StencilSpec;
 use lx2_isa::VLEN;
 use std::sync::Mutex;
 
-/// Tuning knobs for [`time_steps_temporal_in`]. `Default` picks the
-/// fused depth from the scratch cache budget and falls back to the
-/// naive ping-pong when the whole working set is cache-resident anyway.
+/// Knobs for [`time_steps_temporal_in`]. `Default` picks the fused
+/// depth from the scratch cache budget and falls back to the naive
+/// ping-pong when the whole working set is cache-resident anyway.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Temporal {
     /// Fused time steps per superstep; `None` sizes the trapezoid depth
@@ -86,16 +87,55 @@ pub struct Temporal {
     /// or the fused depth is 1 (used by the conformance variant and the
     /// benchmark so every size measures the same code path).
     pub force_pipeline: bool,
-    /// Base tile `(rows, cols)` override; `None` uses the tuned
-    /// defaults. Tiny tiles are valid (heavy ghost overlap, used by the
-    /// tests to stress clamping) — results never change.
+    /// Base tile `(rows, cols)` override; `None` uses the static
+    /// default (128 × 512). Tiny tiles are valid (heavy ghost overlap,
+    /// used by the tests to stress clamping) — results never change.
     pub tile: Option<(usize, usize)>,
 }
 
 /// Ping-pong working sets at most this large stay on the naive path:
 /// both grids fit comfortably in cache, so fusing time steps cannot
 /// reduce DRAM traffic and would only add ghost-recompute overhead.
+/// [`ShapeClass`] draws its resident/streaming line at the same size.
 const PIPELINE_MIN_WORKING_SET: usize = 4 * 1024 * 1024;
+
+/// Working-set classes of a 2-D grid. The boundary is the temporal
+/// executor's pipeline threshold: two grids above 4 MiB no longer fit
+/// the private caches of this host class. The serve batcher keys on it
+/// and runs a resident job whole on one lane.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ShapeClass {
+    /// Both ping-pong grids fit in cache.
+    Resident,
+    /// The sweep streams from DRAM/L3.
+    Streaming,
+}
+
+impl ShapeClass {
+    /// Classifies an `h x w` double-buffered working set of `dtype`
+    /// elements. The boundary is in *bytes*, so an f32 grid stays
+    /// resident at twice the f64 area.
+    pub fn of_dtype(h: usize, w: usize, dtype: Dtype) -> ShapeClass {
+        if 2 * h * w * dtype.size() > PIPELINE_MIN_WORKING_SET {
+            ShapeClass::Streaming
+        } else {
+            ShapeClass::Resident
+        }
+    }
+
+    /// [`ShapeClass::of_dtype`] at the reference `f64` width.
+    pub fn of(h: usize, w: usize) -> ShapeClass {
+        ShapeClass::of_dtype(h, w, Dtype::F64)
+    }
+
+    /// Stable lowercase label (`"resident"` / `"streaming"`).
+    pub fn label(self) -> &'static str {
+        match self {
+            ShapeClass::Resident => "resident",
+            ShapeClass::Streaming => "streaming",
+        }
+    }
+}
 
 /// One lane's scratch for a superstep: the pair of ping-pong buffers
 /// for the intermediate time levels (sized for the widest, level-1,
@@ -184,7 +224,6 @@ fn tile_pipeline<E: NativeElement>(
     (tc0, tc1): (isize, isize),
     steps: usize,
     scratch: &mut Scratch<E>,
-    lanes: usize,
 ) {
     debug_assert!(steps >= 2);
     let r = taps.chain.r;
@@ -286,7 +325,6 @@ fn tile_pipeline<E: NativeElement>(
                 scratch.stride,
                 a0 as usize,
                 a1 as usize,
-                lanes,
             );
         } else {
             let a_org = -rr0 * ss + (c0 - cc0);
@@ -303,7 +341,6 @@ fn tile_pipeline<E: NativeElement>(
                     dst_stride,
                     tr0 as usize,
                     tr1 as usize,
-                    lanes,
                 );
             } else {
                 let off = idx(a0, c0);
@@ -318,7 +355,6 @@ fn tile_pipeline<E: NativeElement>(
                     scratch.stride,
                     a0 as usize,
                     a1 as usize,
-                    lanes,
                 );
             }
         }
@@ -345,13 +381,12 @@ fn band_pipeline<E: NativeElement>(
     steps: usize,
     (th, tw): (usize, usize),
     scratch: &mut Scratch<E>,
-    lanes: usize,
 ) {
     debug_assert!(steps >= 1);
     if steps == 1 {
         // Depth-1 superstep: a plain banded sweep, no scratch involved.
         kernel2d::sweep_band_2d(
-            dispatch, taps, src, src_org, src_stride, w, dst, dst_stride, lo, hi, lanes,
+            dispatch, taps, src, src_org, src_stride, w, dst, dst_stride, lo, hi,
         );
         return;
     }
@@ -376,7 +411,6 @@ fn band_pipeline<E: NativeElement>(
                 (tc0 as isize, tc1 as isize),
                 steps,
                 scratch,
-                lanes,
             );
             tc0 = tc1;
         }
@@ -412,7 +446,7 @@ fn superstep<E: NativeElement>(
         let mut sc = scratch[0].lock().unwrap_or_else(|e| e.into_inner());
         band_pipeline(
             dispatch, taps, src_raw, src_org, src_stride, h, w, dslice, b_stride, 0, h, steps,
-            tile_hw, &mut sc, 1,
+            tile_hw, &mut sc,
         );
         return;
     }
@@ -449,15 +483,15 @@ fn superstep<E: NativeElement>(
             let mut sc = scratch[lane].lock().unwrap_or_else(|e| e.into_inner());
             band_pipeline(
                 dispatch, taps, src_raw, src_org, src_stride, h, w, band.dst, b_stride, band.lo,
-                band.hi, steps, tile_hw, &mut sc, lanes,
+                band.hi, steps, tile_hw, &mut sc,
             );
         }
     });
 }
 
-/// [`time_steps_temporal_in`] on the shared pool with auto-tuned
-/// settings — the default multi-sweep entry point
-/// ([`super::time_steps`] routes here).
+/// [`time_steps_temporal_in`] on the shared pool with the default
+/// dispatch and [`Temporal::default`] — the default multi-sweep entry
+/// point ([`super::time_steps`] routes here).
 pub fn time_steps_temporal<E: NativeElement>(
     spec: &StencilSpec,
     init: &Grid2dT<E>,
@@ -503,23 +537,13 @@ pub fn time_steps_temporal_in<E: NativeElement>(
         .unwrap_or_else(|e| panic!("native temporal sweep: {e}"));
     let r = spec.radius();
     let (h, w) = (init.h(), init.w());
-    // Explicit cfg overrides trump the autotuner's cached plan, which
-    // trumps the static defaults. The plan is only consulted when a
-    // knob is actually open, so callers that pin both (the tuner's own
-    // measurement loop included) never touch the cache.
-    let plan = if cfg.tile.is_none() || cfg.t_block.is_none() {
-        super::tune::plan_for(spec, h, w, threads, E::DTYPE)
-    } else {
-        None
-    };
+    // Explicit cfg overrides trump the static defaults.
     let (th, tw) = cfg
         .tile
-        .or(plan.map(|p| p.tile))
         .unwrap_or((tile::TEMPORAL_TILE_ROWS, tile::TEMPORAL_TILE_COLS));
     assert!(th >= 1 && tw >= 1, "temporal tile must be non-empty");
     let t_block = cfg
         .t_block
-        .or(plan.map(|p| p.t_block))
         .unwrap_or_else(|| tile::temporal_block(sweeps, r, th, tw))
         .clamp(1, sweeps);
     let working_set = 2 * (h + 2 * init.halo()) * init.stride() * std::mem::size_of::<E>();
@@ -658,6 +682,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn shape_class_boundary() {
+        assert_eq!(ShapeClass::of(256, 256), ShapeClass::Resident);
+        assert_eq!(ShapeClass::of(4096, 4096), ShapeClass::Streaming);
+        // 2 * 512 * 512 * 8 = 4 MiB exactly — still resident.
+        assert_eq!(ShapeClass::of(512, 512), ShapeClass::Resident);
+        assert_eq!(ShapeClass::of(513, 512), ShapeClass::Streaming);
+        // The boundary is byte-denominated: f32 grids stay resident at
+        // twice the f64 area.
+        assert_eq!(
+            ShapeClass::of_dtype(513, 512, Dtype::F32),
+            ShapeClass::Resident
+        );
+        assert_eq!(
+            ShapeClass::of_dtype(1025, 512, Dtype::F32),
+            ShapeClass::Streaming
+        );
+        assert_eq!(
+            ShapeClass::of_dtype(513, 512, Dtype::F64),
+            ShapeClass::of(513, 512)
+        );
     }
 
     #[test]

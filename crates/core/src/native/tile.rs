@@ -51,18 +51,6 @@ pub(crate) const TEMPORAL_TILE_ROWS: usize = 128;
 /// runs (4 KiB per row at the default width).
 pub(crate) const TEMPORAL_TILE_COLS: usize = 512;
 
-/// The temporal tile geometries the autotuner measures
-/// (`native::tune`): the PR 4 default first (the tie-break winner), a
-/// half-height variant that halves ghost recompute rows, and a
-/// double-width variant that doubles the contiguous stream length.
-pub(crate) fn temporal_tile_candidates() -> [(usize, usize); 3] {
-    [
-        (TEMPORAL_TILE_ROWS, TEMPORAL_TILE_COLS),
-        (TEMPORAL_TILE_ROWS / 2, TEMPORAL_TILE_COLS),
-        (TEMPORAL_TILE_ROWS, TEMPORAL_TILE_COLS * 2),
-    ]
-}
-
 /// Element count (padded to a vector) of one scratch buffer for a
 /// `t`-deep trapezoid over a `th x tw` base tile at radius `r`: the
 /// widest level-1 extent `tile + 2 * r * (t - 1)` plus the `r`-wide

@@ -7,7 +7,7 @@
 //! here sets *both* vars (to the same values) before touching any
 //! override-reading API.
 
-use hstencil_core::native::{self, pool::ThreadPool, threads, tune, Dispatch};
+use hstencil_core::native::{self, pool::ThreadPool, threads, Dispatch};
 use hstencil_core::{presets, Grid2d, Grid2dT};
 
 fn pin_env() {
@@ -71,10 +71,13 @@ fn threads_override_pins_the_lane_count_process_wide() {
 }
 
 #[test]
-fn reuse_aliases_run_their_canonical_targets_and_are_not_pinnable() {
+fn aliases_run_their_canonical_targets_and_are_not_pinnable() {
     pin_env();
 
     // Each alias runs its target kernel, bit for bit, at both widths.
+    // The hybrid alias targets the widest canonical kernel this host
+    // runs — not the pinned scalar path: the pin steers the size-aware
+    // rule, never what an explicit dispatch runs.
     let spec = presets::box2d25p();
     let grid = Grid2d::from_fn(37, 53, 2, |i, j| ((i * 7 + j * 3) % 19) as f64 * 0.23 - 2.0);
     let grid32 = Grid2dT::<f32>::convert_from(&grid);
@@ -89,6 +92,7 @@ fn reuse_aliases_run_their_canonical_targets_and_are_not_pinnable() {
             Dispatch::Avx512,
             Dispatch::avx512_available(),
         ),
+        (Dispatch::Hybrid, Dispatch::detect(), true),
     ];
     for (alias, target, available) in pairs {
         assert_eq!(alias.label(), target.label());
@@ -108,23 +112,25 @@ fn reuse_aliases_run_their_canonical_targets_and_are_not_pinnable() {
         assert_eq!(want32.max_interior_diff(&got32), 0.0, "{alias:?} f32");
     }
 
-    // Neither alias is a candidate anywhere.
-    let aliases = [Dispatch::Avx2Reuse, Dispatch::Avx512Reuse];
+    // No alias is a candidate.
+    let aliases = [Dispatch::Avx2Reuse, Dispatch::Avx512Reuse, Dispatch::Hybrid];
     assert!(Dispatch::candidates().iter().all(|d| !aliases.contains(d)));
-    for class in [tune::ShapeClass::Resident, tune::ShapeClass::Streaming] {
-        assert!(tune::candidates(class)
-            .iter()
-            .all(|c| !aliases.contains(&c.dispatch)));
-    }
 
     // The retired spellings are malformed pins now, and say so.
-    for v in ["reuse", "avx2+reuse", "avx512+reuse"] {
+    for v in [
+        "reuse",
+        "avx2+reuse",
+        "avx512+reuse",
+        "hybrid",
+        "hybrid8x8",
+        " HYBRID8X8 ",
+    ] {
         let (parsed, warn) = Dispatch::from_env_str_warn(v);
         assert_eq!(parsed, None, "{v}");
         let warn = warn.expect("a retired spelling must warn");
         assert!(warn.contains("malformed"), "{warn}");
         assert!(
-            !warn.contains("reuse|"),
+            !warn.contains("reuse|") && !warn.contains("hybrid|"),
             "lists no retired spelling: {warn}"
         );
     }
@@ -134,7 +140,6 @@ fn reuse_aliases_run_their_canonical_targets_and_are_not_pinnable() {
         (Dispatch::Scalar, true),
         (Dispatch::Avx2Fma, Dispatch::avx2_available()),
         (Dispatch::Avx512, Dispatch::avx512_available()),
-        (Dispatch::Hybrid, true),
         (Dispatch::TempVec, true),
     ];
     for (d, available) in kernels {

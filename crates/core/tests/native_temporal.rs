@@ -68,7 +68,7 @@ fn case_strategy() -> impl Strategy<Value = Case> {
                 v
             });
             // Tiles deliberately smaller than the ghost width force the
-            // clamped-overlap paths; `None` exercises the tuned default.
+            // clamped-overlap paths; `None` exercises the static default.
             let tile = [None, Some((2, 4)), Some((5, 9)), Some((16, 8))][tile_sel];
             Case {
                 spec,

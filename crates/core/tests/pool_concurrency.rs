@@ -1,7 +1,6 @@
 //! Multi-core concurrency contracts of the native executor: concurrent
-//! callers on the shared global pool, and bit-identity of every kernel
-//! family across thread counts — including both sides of the hybrid
-//! kernel's lane-aware staged-NT store policy.
+//! callers on the shared global pool, and bit-identity of every
+//! canonical kernel across thread counts at streaming sizes.
 
 use hstencil_core::native::{self, pool::ThreadPool, Dispatch};
 use hstencil_core::{presets, Grid2d};
@@ -14,14 +13,6 @@ fn random_grid(h: usize, w: usize, halo: usize, seed: u64) -> Grid2d {
             .wrapping_add(1442695040888963407);
         ((state >> 33) as f64) / (1u64 << 31) as f64 - 1.0
     })
-}
-
-fn kernels() -> Vec<Dispatch> {
-    let mut v = vec![Dispatch::Scalar, Dispatch::Hybrid];
-    if Dispatch::avx2_available() {
-        v.push(Dispatch::Avx2Fma);
-    }
-    v
 }
 
 #[test]
@@ -61,18 +52,15 @@ fn concurrent_callers_share_the_global_pool_without_cross_talk() {
 
 #[test]
 fn every_kernel_is_bit_identical_across_thread_counts() {
-    // 800 x 1200 (double-buffered working set ~15 MiB) keeps per-lane
-    // bands above the hybrid staged-NT threshold at 1-2 lanes (the
-    // staged drain + per-band sfence path) while 3+ lanes fall back to
-    // direct stores under the auto NT policy — so one sweep over the
-    // thread counts covers both store paths of every kernel family, and
-    // all of them must agree bit for bit with the serial sweep.
+    // 800 x 1200 (double-buffered working set ~15 MiB) streams from
+    // DRAM; every kernel must agree bit for bit with its serial sweep
+    // at every lane count, uneven band splits included.
     let spec = presets::star2d5p();
     let a = random_grid(800, 1200, 1, 23);
     let all = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    for d in kernels() {
+    for d in Dispatch::candidates() {
         let mut serial = Grid2d::zeros(800, 1200, 1);
         native::apply_2d_with(d, &spec, &a, &mut serial);
         for threads in [1usize, 2, 3, all] {
@@ -90,17 +78,16 @@ fn every_kernel_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn temporal_pipeline_is_bit_identical_across_thread_counts_per_kernel() {
-    // The fused multi-sweep schedule at every kernel family and thread
-    // count must match plain repeated sweeps exactly (the temporal
-    // executor's own suite pins small grids; this adds the streaming
-    // shape where the hybrid path stages NT stores).
+    // The fused multi-sweep schedule at every kernel and thread count
+    // must match plain repeated sweeps exactly (the temporal executor's
+    // own suite pins small grids; this adds a streaming shape).
     let spec = presets::box2d9p();
     let a = random_grid(640, 1024, 1, 41);
     let sweeps = 3usize;
     let all = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    for d in kernels() {
+    for d in Dispatch::candidates() {
         let mut want = a.clone();
         let mut ping = a.clone();
         for _ in 0..sweeps {

@@ -1,21 +1,22 @@
 //! # hstencil-serve
 //!
-//! Stencil-as-a-service: an admission-controlled, plan-batched job
-//! server over the native executor (ROADMAP item 2, DESIGN.md §13).
+//! Stencil-as-a-service: an admission-controlled, batching job server
+//! over the native executor (ROADMAP item 2, DESIGN.md §13).
 //!
 //! A job is `(pattern, radius, coefficients, grid, sweeps)`. Jobs are
 //! submitted concurrently from any number of threads, pass admission
 //! control (a bounded queue with a typed, immediate
-//! [`JobError::QueueFull`] rejection), and are batched by tuner-plan
-//! key so kernel-dispatch resolution amortizes across a batch. A
-//! cache-resident job then runs whole on the executor thread; a
-//! streaming job runs on the global [`hstencil_core::ThreadPool`] with
-//! its grid sharded into bands that recompute ghosts instead of
-//! exchanging halos. The pipeline is a chain of explicit stages
-//! connected by bounded channels (the DAM-RS `Context`/`Sender`/
-//! `Receiver` shape), so backpressure propagates end to end and
-//! per-stage queue depth / service time, and a fixed-size latency
-//! histogram, are observable through [`Server::snapshot`].
+//! [`JobError::QueueFull`] rejection), and are batched by batch key
+//! (pattern, radius, shape class, width bucket) so kernel-dispatch
+//! resolution amortizes across a batch. A cache-resident job then
+//! runs whole on the executor thread; a streaming job runs on the
+//! global [`hstencil_core::ThreadPool`] with its grid sharded into
+//! bands that recompute ghosts instead of exchanging halos. The
+//! pipeline is a chain of explicit stages connected by bounded
+//! channels (the DAM-RS `Context`/`Sender`/`Receiver` shape), so
+//! backpressure propagates end to end and per-stage queue depth /
+//! service time, and a fixed-size latency histogram, are observable
+//! through [`Server::snapshot`].
 //!
 //! The crate ships with its harness: [`loadgen`] drives a server from a
 //! seeded, wall-clock-free arrival schedule

@@ -3,7 +3,7 @@
 //! ```text
 //! submitters ──try_send──▶ [admission q] ──▶ batcher ──send──▶ [batch q] ──▶ executor ──▶ [done q] ──▶ completion
 //!  (many threads)             bounded         groups by          bounded       resident job:  bounded      latency
-//!  typed QueueFull            HSTENCIL_       plan key,          (cap 2)       whole, inline;              histogram +
+//!  typed QueueFull            HSTENCIL_       batch key,         (cap 2)       whole, inline;              histogram +
 //!  when full                  SERVE_QUEUE     ≤ batch jobs                     streaming job:              per-job
 //!                                                                              pool bands;                 reply
 //!                                                                              catch_unwind
@@ -15,12 +15,11 @@
 //! pipeline never buffers more than its configured bounds (DESIGN.md
 //! §13).
 //!
-//! **Batching by plan key.** Jobs are grouped by the tuner plan key of
+//! **Batching by batch key.** Jobs are grouped by the batch key of
 //! their `(pattern, radius, shape class, dtype)` plus a vector-width
 //! bucket. Everything [`Dispatch::for_sweep_dtype`] consults is constant
 //! within such a group, so the executor resolves the kernel dispatch
-//! (plan lookup, tuning, heuristics) **once per batch** and reuses it
-//! for every job in the batch.
+//! **once per batch** and reuses it for every job in the batch.
 //!
 //! **One lane per resident job.** The shape class in the batch key also
 //! fixes how many lanes a batch's jobs run on (`job_lanes`). A
@@ -43,9 +42,8 @@
 use crate::job::{Fault, JobError, JobHandle, JobId, JobRequest};
 use crate::latency::LatencyHistogram;
 use crate::stage::{self, Context, StageReceiver, StageSender, StageSnapshot, StageStats, TrySend};
-use hstencil_core::native::tune::{self, ShapeClass};
-use hstencil_core::native::{self, pool::ThreadPool, threads, Temporal};
-use hstencil_core::{Dispatch, Dtype, Grid2d, StencilSpec};
+use hstencil_core::native::{self, pool::ThreadPool, threads, ShapeClass, Temporal};
+use hstencil_core::{Dispatch, Dtype, Grid2d, Pattern, StencilSpec};
 use hstencil_testkit::load::LatencyStats;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -126,12 +124,16 @@ pub(crate) fn parse_knob(raw: &str) -> Result<Option<usize>, ()> {
     }
 }
 
-/// The batching key: the tuner plan key (pattern/radius/shape-class/
-/// dtype/threads) extended with the vector-width bucket the dispatch
-/// heuristics care about. Two jobs with equal keys are guaranteed to
-/// resolve the identical [`Dispatch`], so the resolution can be hoisted
-/// out of the per-job loop.
+/// The batching key: pattern, radius, shape class, dtype and thread
+/// count (`star/r1/resident/f64/t1`), then the vector-width bucket the
+/// dispatch rule cares about (`|wide`). Two jobs with equal keys are
+/// guaranteed to resolve the identical [`Dispatch`] and lane count, so
+/// both are hoisted out of the per-job loop.
 pub(crate) fn batch_key(spec: &StencilSpec, h: usize, w: usize) -> String {
+    let pattern = match spec.pattern() {
+        Pattern::Star => "star",
+        Pattern::Box => "box",
+    };
     let class = ShapeClass::of_dtype(h, w, Dtype::F64);
     let width = if w < 4 {
         "narrow"
@@ -140,7 +142,12 @@ pub(crate) fn batch_key(spec: &StencilSpec, h: usize, w: usize) -> String {
     } else {
         "wide"
     };
-    format!("{}|{width}", tune::plan_key(spec, class, Dtype::F64, 1))
+    format!(
+        "{pattern}/r{}/{}/{}/t1|{width}",
+        spec.radius(),
+        class.label(),
+        Dtype::F64.label()
+    )
 }
 
 /// A job inside the pipeline (the handle keeps the [`JobId`]; the
@@ -155,7 +162,7 @@ struct Job {
     done: Sender<Result<Grid2d, JobError>>,
 }
 
-/// A plan-keyed group of jobs headed for the executor.
+/// A group of jobs with one batch key, headed for the executor.
 struct Batch {
     jobs: Vec<Job>,
 }
@@ -465,7 +472,7 @@ impl Context for Executor {
                 .batched_jobs
                 .fetch_add(batch.jobs.len() as u64, Ordering::Relaxed);
             // One dispatch resolution per batch — the whole point of
-            // batching by plan key. The (threads = 1, f64) query is the
+            // batching by batch key. The (threads = 1, f64) query is the
             // same one direct apply_2d makes, pinning bit-identity.
             let first = batch.jobs.first().expect("batches are non-empty");
             let (h, w) = (first.grid.h(), first.grid.w());
@@ -626,6 +633,20 @@ mod tests {
             batch_key(&star, 64, 64).contains("/f64/"),
             "{}",
             batch_key(&star, 64, 64)
+        );
+    }
+
+    #[test]
+    fn batch_keys_keep_their_spelling() {
+        // The key string the batcher groups on, byte for byte.
+        let star = presets::star2d5p();
+        let boxs = presets::box2d25p();
+        assert_eq!(batch_key(&star, 64, 64), "star/r1/resident/f64/t1|wide");
+        assert_eq!(batch_key(&star, 64, 6), "star/r1/resident/f64/t1|vec4");
+        assert_eq!(batch_key(&boxs, 64, 3), "box/r2/resident/f64/t1|narrow");
+        assert_eq!(
+            batch_key(&star, 2048, 2048),
+            "star/r1/streaming/f64/t1|wide"
         );
     }
 

@@ -4,7 +4,7 @@
 //! the 4 MiB shape-class boundary, split across two pool lanes, must
 //! come back bit-identical to the direct single-thread execution.
 
-use hstencil_core::native::tune::ShapeClass;
+use hstencil_core::native::ShapeClass;
 use hstencil_core::{presets, Grid2d};
 use hstencil_serve::loadgen;
 use hstencil_serve::{JobRequest, ServeConfig, Server};

@@ -18,9 +18,9 @@ use crate::rng::{Rng, SplitMix64, Xoshiro256};
 
 /// Parses `TESTKIT_SEED` (decimal or `0x`-prefixed hex, matching the
 /// property harness's replay format) and falls back to `default` when
-/// the variable is unset, empty or malformed. Shared by the tuner's
-/// measurement grids and the serve load generator so one seed pins every
-/// stochastic input in a verify run.
+/// the variable is unset, empty or malformed. Shared by the serve load
+/// generator's tests and bench so one seed pins every stochastic input
+/// in a verify run.
 pub fn seed_from_env(default: u64) -> u64 {
     match std::env::var("TESTKIT_SEED") {
         Ok(text) => parse_seed(&text).unwrap_or(default),

@@ -4,9 +4,23 @@
 #
 #   scripts/bench_ab.sh REV WORKLOAD [PAIRS=10] [SECONDS=20] [FIRST_SEED=1]
 #
-# Builds the benchmark package (crates/bench/src/bin/benchmark) at REV
-# in a temporary git worktree under target/ab/, and from the working
-# tree. Then runs PAIRS alternating pairs of untraced runs
+# Builds the benchmark package (crates/bench/src/bin/benchmark) twice
+# from one source path, target/ab/src: first from a `git archive`
+# export of REV, then, after emptying that directory, from a copy of
+# the working tree's files (`git ls-files -co --exclude-standard`, so
+# uncommitted and new files count and ignored ones do not). Each side
+# has its own target directory. Cargo's package id for a path
+# dependency includes its directory, so building the two sides in two
+# directories gives identical source different code layouts; in-cache
+# workloads (`sweep_l2`) read up to about 20% apart from that alone
+# (EXPERIMENTS.md, "Job-server latency"). At one path, identical source
+# gives identical binaries, and the script prints whether the two
+# binaries are identical: `scripts/bench_ab.sh HEAD sweep_l2 1 5` on a
+# clean tree must report them identical. Both binaries read
+# BENCHMARK.json from target/ab/src at run time, which then holds the
+# working tree's copy.
+#
+# Then runs PAIRS alternating pairs of untraced runs
 # (`--trace 0 --out`): REV runs first in odd pairs and second in even
 # pairs, and both runs of pair k (k = 1..PAIRS) use the seed
 # FIRST_SEED + k - 1. Each run's report, stdout and stderr are kept in
@@ -17,13 +31,7 @@
 # admitted`, `served job ... failed`, `WRONG RESULT`), so a change that
 # fails more operations than its parent shows before it is proposed.
 # It exits with the status of `--compare` (REV as the parent set), or 1
-# if any run exited non-zero. The worktree is removed on exit.
-#
-# The two sides build in different directories, and Cargo's package id
-# for a path dependency includes its directory, so their code layouts
-# differ even for identical source. In-cache workloads (`sweep_l2`) can
-# read up to about 20% apart from that alone (EXPERIMENTS.md,
-# "Job-server latency").
+# if any run exited non-zero. target/ab/src is removed on exit.
 #
 # Example, the working tree against main on the serving workload:
 #
@@ -43,26 +51,45 @@ FIRST_SEED=${5:-1}
 
 MANIFEST=crates/bench/src/bin/benchmark/Cargo.toml
 AB="$PWD/target/ab"
-WT="$AB/rev"
+SRC="$AB/src"
 RUNS="$AB/runs/$WORKLOAD"
+REV_ID=$(git rev-parse --short --verify "$REV^{commit}")
 
 cleanup() {
-    git worktree remove --force "$WT" >/dev/null 2>&1 || rm -rf "$WT"
-    git worktree prune
+    rm -rf "$SRC"
 }
 
-# A worktree left by an interrupted run would make `worktree add` fail.
-cleanup
-mkdir -p "$AB"
-trap cleanup EXIT
-git worktree add --quiet --detach "$WT" "$REV"
+# fresh_src: empties the shared source path. Extraction below sets
+# every mtime to now (`tar -m`), so Cargo never takes a side's earlier
+# build for fresh against older-dated source.
+fresh_src() {
+    rm -rf "$SRC"
+    mkdir -p "$SRC"
+}
 
-echo "==> building the benchmark at $REV ($(git -C "$WT" rev-parse --short HEAD))"
-cargo build --release --offline -q --manifest-path "$WT/$MANIFEST" --target-dir "$AB/target-rev"
+trap cleanup EXIT
+
+echo "==> building the benchmark at $REV ($REV_ID)"
+fresh_src
+git archive "$REV_ID" | tar -x -m -C "$SRC"
+cargo build --release --offline -q --manifest-path "$SRC/$MANIFEST" --target-dir "$AB/target-rev"
+
 echo "==> building the benchmark from the working tree"
-cargo build --release --offline -q --manifest-path "$MANIFEST" --target-dir "$AB/target-tree"
+fresh_src
+git ls-files -z -co --exclude-standard |
+    while IFS= read -r -d '' f; do
+        # Tracked files deleted from the working tree are not copied.
+        if [ -e "$f" ]; then printf '%s\0' "$f"; fi
+    done |
+    tar --null -T - -cf - | tar -x -m -C "$SRC"
+cargo build --release --offline -q --manifest-path "$SRC/$MANIFEST" --target-dir "$AB/target-tree"
 REV_BIN="$AB/target-rev/release/benchmark"
 TREE_BIN="$AB/target-tree/release/benchmark"
+if cmp -s "$REV_BIN" "$TREE_BIN"; then
+    echo "==> binaries: identical"
+else
+    echo "==> binaries: differ"
+fi
 
 rm -rf "$RUNS"
 mkdir -p "$RUNS"

@@ -89,47 +89,40 @@ if [ ! -f "$SMOKE_JSON" ]; then
 fi
 # Parse the artifact with the testkit JSON reader and check every
 # configuration carries median/p10/p90 + throughput fields. The smoke
-# gates (temporal 2048² >= 0.91, hybrid 4096² >= 0.4) are deliberately
-# loose — one sample on a noisy shared host. The hybrid bound is the
-# loosest: its staged non-temporal store path swings with co-tenant
-# DRAM traffic (measured 1.36-1.45x on a quiet bus, ~0.75x when
-# neighbors saturate it — DESIGN.md §10), so 0.4 only catches the
-# catastrophic regression class (e.g. write-combining thrash, ~0.1x).
-# The threads gate is equally loose in smoke (4 lanes must merely not
-# be catastrophically slower than 1 on one noisy sample) and skips
-# automatically on hosts with fewer than 4 cores. The f32 gate asks
-# only that one noisy f32 sample not be slower than f64 at the
-# in-cache size; it skips with a notice if the artifact has no f32
-# rows at 256². The tempvec gate asks only that one noisy 8-sweep
+# temporal gate (2048² >= 0.91) is deliberately loose — one sample on a
+# noisy shared host. The threads gate is equally loose in smoke (4
+# lanes must merely not be catastrophically slower than 1 on one noisy
+# sample) and skips automatically on hosts with fewer than 4 cores.
+# The f32 gate asks only that one noisy f32 sample not be slower than
+# f64 at the in-cache size; it skips with a notice if the artifact has
+# no f32 rows at 256². The tempvec gate asks only that one noisy 8-sweep
 # wavefront sample at 2048² (in the L2/L3 shoulder) not collapse below
 # 0.9x of the trapezoid pipeline; it skips with a notice where the
 # native2d_tempvec group did not run.
-cargo run -q --release --offline -p hstencil-bench --bin check_bench_json -- "$SMOKE_JSON" --gate-temporal=2048:0.91 --gate-hybrid=4096:0.4 --gate-threads=4096:4:0.5 --gate-f32=256:1.0 --gate-tempvec=2048:8:0.9
+cargo run -q --release --offline -p hstencil-bench --bin check_bench_json -- "$SMOKE_JSON" --gate-temporal=2048:0.91 --gate-threads=4096:4:0.5 --gate-f32=256:1.0 --gate-tempvec=2048:8:0.9
 # The committed baseline must still exist, parse, and keep the recorded
 # speedups on the out-of-cache acceptance cases: the temporal fusion
 # gate (ISSUE 4 — re-pinned at the ISSUE-6 baseline refresh: the
 # recorded ratio is 1.20x on today's quiet DRAM bus vs 1.55x under the
 # bus contention the ISSUE-4 baseline was recorded under; the naive
 # ping-pong side is the more DRAM-bound of the pair, so the ratio
-# tracks bus pressure — verified unchanged-code at both readings), the
-# hybrid 8x8 register-tile kernel gate (ISSUE 5, >= 1.10x over
-# avx2+fma on single-sweep 4096² star2d5p), and the multi-core scaling
-# gate (ISSUE 6, >= 1.6x at 4 threads vs 1 on the same case — strict
-# only when the baseline was recorded on a host that actually has
-# >= 4 cores; check_bench_json skips it otherwise). The f32 width gate
-# (ISSUE 7) holds the recorded in-cache 256² star2d5p f32 throughput
-# at >= 1.3x the f64 ratio in the same artifact; it skips with a
-# notice on baselines recorded before the dtype axis existed. The
-# tempvec gate (ISSUE 10) holds the recorded single-thread 8-sweep
-# 4096² star2d5p time-skewed wavefront median at >= 1.05x the
-# trapezoid pipeline's on the same point — the acceptance bound for
-# temporal vectorization, where each loaded tile is advanced several
-# time levels per DRAM round-trip.
+# tracks bus pressure — verified unchanged-code at both readings), and
+# the multi-core scaling gate (>= 1.6x at 4 threads vs 1 on the same
+# case — strict only when the baseline was recorded on a host that
+# actually has >= 4 cores; check_bench_json skips it otherwise). The
+# f32 width gate holds the recorded in-cache 256² star2d5p f32
+# throughput at >= 1.3x the f64 ratio in the same artifact; it skips
+# with a notice on baselines recorded before the dtype axis existed.
+# The tempvec gate holds the recorded single-thread 8-sweep 4096²
+# star2d5p time-skewed wavefront median at >= 1.05x the trapezoid
+# pipeline's on the same point — the acceptance bound for temporal
+# vectorization, where each loaded tile is advanced several time
+# levels per DRAM round-trip.
 if [ ! -f BENCH_native.json ]; then
     echo "ERROR: recorded baseline BENCH_native.json is missing" >&2
     exit 1
 fi
-cargo run -q --release --offline -p hstencil-bench --bin check_bench_json -- BENCH_native.json --gate-temporal=4096:1.15 --gate-hybrid=4096:1.10 --gate-threads=4096:4:1.6 --gate-f32=256:1.3 --gate-tempvec=4096:8:1.05
+cargo run -q --release --offline -p hstencil-bench --bin check_bench_json -- BENCH_native.json --gate-temporal=4096:1.15 --gate-threads=4096:4:1.6 --gate-f32=256:1.3 --gate-tempvec=4096:8:1.05
 
 echo "==> serve load-generator bench (smoke tier)"
 # Seeded open-loop scenario against the job server (ISSUE 8): the smoke
